@@ -9,7 +9,7 @@ the KDESC container instead.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -220,16 +220,6 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     off_unit = np.abs(norms - 1.0) > 1e-6
     values[off_unit] /= norms[off_unit, None]
 
-    meta = [
-        DescriptorMeta(
-            patch_id=int(r["patch_id"]),
-            x=int(r["x"]),
-            y=int(r["y"]),
-            w=int(r["w"]),
-            h=int(r["h"]),
-            rotation_index=int(r["rotation_index"]),
-            objectness=float(r["objectness"]),
-        )
-        for r in records
-    ]
+    columns = [records[f.name].tolist() for f in fields(DescriptorMeta)]
+    meta = [DescriptorMeta(*row) for row in zip(*columns)]
     return DescriptorSet(image_id=path.stem, meta=meta, values=values)

@@ -23,6 +23,7 @@ KMDL_MAGIC = b"KMDL"
 KMDL_VERSION = 1
 
 EM_MAX_ITER = 100
+EM_MAX_SAMPLES = 16_384
 EM_REL_TOL = 1e-6
 VARIANCE_FLOOR_FACTOR = 1e-4
 
@@ -165,10 +166,17 @@ def _logsumexp(rows: np.ndarray) -> np.ndarray:
 def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
     """Fit a diagonal GMM by EM from a k-means++ seeding.
 
-    Stops when the relative average log-likelihood improvement drops below
-    1e-6 or after 100 iterations; the average log-likelihood of every
-    iteration is recorded on the returned model. A variance floor of
-    1e-4 x (mean per-dimension data variance) is applied at every M-step.
+    With more than EM_MAX_SAMPLES (16,384) rows, EM runs on a sorted random
+    subset of that size, drawn from the seed's generator before the
+    k-means++ seeding; smaller inputs are used whole. Stops when the
+    relative average log-likelihood improvement drops below 1e-6 or after
+    100 iterations; the average log-likelihood of every iteration is
+    recorded on the returned model. A variance floor of 1e-4 x (mean
+    per-dimension variance of the fitted rows) is applied at every M-step.
+
+    Each iteration is two matrix products over the fixed (n, 2D) statistics
+    [x, x^2]: one against [mu/var, -1/(2 var)] for the E-step and one of the
+    responsibilities against the statistics for both M-step moments.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -181,18 +189,35 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
             f"GMM with {components} components needs at least {10 * components} samples, got {n}"
         )
     rng = np.random.default_rng(seed)
+    if n > EM_MAX_SAMPLES:
+        data = data[np.sort(rng.choice(n, EM_MAX_SAMPLES, replace=False))]
+        n = EM_MAX_SAMPLES
     floor = VARIANCE_FLOOR_FACTOR * float(np.mean(np.var(data, axis=0)))
 
     weights = np.full(components, 1.0 / components)
     means = _kmeanspp_centers(data, components, rng)
     variances = np.maximum(np.tile(np.var(data, axis=0), (components, 1)), floor)
+    stats = np.hstack([data, data**2])
 
     history: list[float] = []
     prev_ll = -np.inf
     for iteration in range(EM_MAX_ITER):
-        log_joint = _log_gaussians(data, means, variances) + np.log(weights)[None, :]
-        log_norm = _logsumexp(log_joint)
-        avg_ll = float(log_norm.mean())
+        # Degenerate variances make these non-finite; the log-likelihood
+        # check below turns that into a training error.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inv_var = 1.0 / variances
+            const = np.log(weights) - 0.5 * (
+                dim * np.log(2.0 * np.pi)
+                + np.sum(np.log(variances), axis=1)
+                + np.sum(means**2 * inv_var, axis=1)
+            )
+            joint = stats @ np.hstack([means * inv_var, -0.5 * inv_var]).T
+            joint += const
+            peak = joint.max(axis=1, keepdims=True)
+            joint -= peak
+            np.exp(joint, out=joint)
+            total = joint.sum(axis=1, keepdims=True)
+            avg_ll = float(np.mean(peak + np.log(total)))
         if not np.isfinite(avg_ll):
             raise TrainingError(f"non-finite log-likelihood at iteration {iteration}")
         history.append(avg_ll)
@@ -200,13 +225,14 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
             break
         prev_ll = avg_ll
 
-        resp = np.exp(log_joint - log_norm[:, None])
+        resp = np.divide(joint, total, out=joint)
         mass = resp.sum(axis=0)
+        moments = resp.T @ stats
         occupied = mass > 1e-10
         new_means = means.copy()
         new_vars = variances.copy()
-        new_means[occupied] = (resp.T[occupied] @ data) / mass[occupied, None]
-        second = (resp.T[occupied] @ (data**2)) / mass[occupied, None]
+        new_means[occupied] = moments[occupied, :dim] / mass[occupied, None]
+        second = moments[occupied, dim:] / mass[occupied, None]
         new_vars[occupied] = second - new_means[occupied] ** 2
         weights = np.maximum(mass / n, 1e-12)
         weights /= weights.sum()

@@ -22,6 +22,7 @@ from .embed import (
     DescriptorMeta,
     DescriptorSet,
     embed_patches,
+    load_descriptors,
     save_descriptors,
 )
 from .errors import StageError
@@ -103,7 +104,10 @@ def resolve_threads(requested: int | None) -> int:
     """Worker count: KCNN_THREADS environment overrides, else flag, else all cores."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if requested is not None:
         return max(1, requested)
     return os.cpu_count() or 1
@@ -187,8 +191,13 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
             sets = list(
                 pool.map(lambda item: describe_image(item[0], item[1], cfg), corpus)
             )
-        for dset in sets:
-            save_descriptors(desc_dir / f"{dset.image_id}.kdesc", dset)
+        # Train and encode from the persisted f32 descriptors: the index then
+        # equals what `encode` gives on these KDESC files with this model,
+        # and images whose descriptors agree in f32 get identical vectors.
+        for i, dset in enumerate(sets):
+            path = desc_dir / f"{dset.image_id}.kdesc"
+            save_descriptors(path, dset)
+            sets[i] = load_descriptors(path)
 
     with stage("train"):
         all_values = np.vstack([dset.values for dset in sets])

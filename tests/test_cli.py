@@ -142,11 +142,9 @@ def test_encode_from_kdesc(artifacts, tmp_path):
     assert code == 0
     idx = index_mod.load(out)
     assert len(idx) == 3
-    # KDESC stores f32 descriptors, so re-encoded vectors match the
-    # pipeline's in-memory float64 path only to f32 precision.
     full = index_mod.load(artifacts / "index.kidx")
     for image_id in idx.ids:
-        np.testing.assert_allclose(idx.vector(image_id), full.vector(image_id), atol=1e-4)
+        assert np.array_equal(idx.vector(image_id), full.vector(image_id))
 
 
 def test_index_merge_roundtrip(artifacts, tmp_path):
@@ -226,6 +224,15 @@ def test_threads_env_override(monkeypatch):
     monkeypatch.delenv("KCNN_THREADS")
     assert resolve_threads(8) == 8
     assert resolve_threads(None) >= 1
+
+
+def test_threads_env_not_an_integer(monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("KCNN_THREADS", "two")
+    code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("pipeline: ")
+    assert "KCNN_THREADS" in err and "'two'" in err
 
 
 def test_console_entry_point(tmp_path):

@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from patchkernel.encode import (
+    EM_MAX_ITER,
+    EM_MAX_SAMPLES,
     GMMModel,
+    _log_gaussians,
+    _logsumexp,
     PCAModel,
     aggregate,
     fv_contribution,
@@ -170,6 +174,35 @@ class TestGmmTrain:
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.variances, b.variances)
+
+    def test_sampled_fit_is_seed_deterministic(self):
+        rng = np.random.default_rng(44)
+        data = rng.normal(size=(EM_MAX_SAMPLES + 500, 2))
+        a = gmm_train(data, 3, seed=5)
+        b = gmm_train(data, 3, seed=5)
+        assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.variances, b.variances)
+        assert a.log_likelihoods == b.log_likelihoods
+
+    def test_sampled_single_component_mean(self):
+        rng = np.random.default_rng(45)
+        sigma = np.array([0.5, 2.0, 1.0])
+        data = rng.normal(loc=[1.0, -3.0, 0.0], scale=sigma, size=(2 * EM_MAX_SAMPLES, 3))
+        model = gmm_train(data, 1, seed=0)
+        error = np.abs(model.means[0] - data.mean(axis=0))
+        assert np.all(error <= 4 * sigma / np.sqrt(EM_MAX_SAMPLES))
+        assert np.any(error > 1e-9)  # fitted on a sample, not on every row
+
+    def test_last_log_likelihood_matches_reference_e_step(self):
+        rng = np.random.default_rng(46)
+        centers = rng.normal(scale=3.0, size=(4, 5))
+        data = centers[rng.integers(4, size=2000)] + rng.normal(size=(2000, 5))
+        model = gmm_train(data, 4, seed=2)
+        assert len(model.log_likelihoods) < EM_MAX_ITER  # stopped on tolerance
+        joint = _log_gaussians(data, model.means, model.variances) + np.log(model.weights)
+        reference = float(np.mean(_logsumexp(joint)))
+        assert model.log_likelihoods[-1] == pytest.approx(reference, rel=1e-12)
 
 
 class TestPosteriors:
