@@ -8,73 +8,52 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import encode, evaluation, index as index_mod, proposals, synth
 from .embed import load_descriptors, save_descriptors
 from .errors import StageError
 from .pipeline import (
+    CONFIG_KEYS,
     PipelineConfig,
     config_from_file,
+    describe_corpus,
     describe_image,
+    encode_sets,
     evaluate_index,
+    int_tuple,
     load_corpus,
     run_pipeline,
     stage,
+    train_codebook,
 )
 from .raster import read_pgm
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--n", type=int, help="proposals per image (default 127)")
-    parser.add_argument("--pca-dim", type=int, help="PCA output dimension (default 128)")
-    parser.add_argument("--components", type=int, help="GMM component count (default 64)")
-    parser.add_argument("--rotations", choices=["on", "off"], help="8-way patch rotation (default on)")
-    parser.add_argument(
-        "--global-baseline", action="store_true",
-        help="bypass proposals: one full-frame descriptor per image",
-    )
-    parser.add_argument("--policy", choices=list(encode.NORMALIZATION_POLICIES),
-                        help="aggregation normalization (default improved)")
-    parser.add_argument("--whiten", action="store_true", help="enable PCA whitening")
-    parser.add_argument("--nms-iou", type=float, help="proposal NMS threshold (default 0.5)")
-    parser.add_argument("--scales", type=str, help="comma-separated window sides")
-    parser.add_argument("--seed", type=int, help="training seed (default 42)")
-    parser.add_argument("--threads", type=int, help="worker threads (default all cores)")
+    for key in CONFIG_KEYS:
+        if key.switch is None:
+            parser.add_argument(
+                key.flag, dest=key.field, type=key.parse, choices=key.choices, help=key.help
+            )
+        else:
+            parser.add_argument(
+                key.flag, dest=key.field, action="store_const", const=key.switch, help=key.help
+            )
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if args.config is not None:
-        cfg = config_from_file(args.config, cfg)
-    updates: dict[str, object] = {}
-    if args.n is not None:
-        updates["n_proposals"] = args.n
-    if args.pca_dim is not None:
-        updates["pca_dim"] = args.pca_dim
-    if args.components is not None:
-        updates["gmm_components"] = args.components
-    if args.rotations is not None:
-        updates["rotations"] = args.rotations == "on"
-    if args.global_baseline:
-        updates["use_proposals"] = False
+    cfg = PipelineConfig() if args.config is None else config_from_file(args.config)
+    updates = {
+        key.field: getattr(args, key.field)
+        for key in CONFIG_KEYS
+        if getattr(args, key.field) is not None
+    }
+    if updates.get("use_proposals") is False:
         updates.setdefault("rotations", False)
-    if args.policy is not None:
-        updates["normalization"] = args.policy
-    if args.whiten:
-        updates["whiten"] = True
-    if args.nms_iou is not None:
-        updates["nms_iou"] = args.nms_iou
-    if args.scales is not None:
-        updates["scales"] = tuple(int(v) for v in args.scales.split(",") if v)
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
     return replace(cfg, **updates)
 
 
@@ -87,11 +66,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 def _cmd_propose(args: argparse.Namespace) -> None:
     with stage("propose"):
         img = read_pgm(args.image)
-        cfg = proposals.ProposalConfig(
-            n=args.n,
-            nms_iou=args.nms_iou,
-            scales=tuple(int(v) for v in args.scales.split(",")) if args.scales else None,
-        )
+        cfg = proposals.ProposalConfig(n=args.n, nms_iou=args.nms_iou, scales=args.scales)
         found = proposals.propose(img, cfg)
         proposals.write_patches_csv(args.out, found)
     print(f"wrote {len(found)} patches to {args.out}")
@@ -114,30 +89,23 @@ def _cmd_train(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     with stage("corpus"):
         corpus = load_corpus(args.corpus)
-    with stage("embed"):
-        sets = [describe_image(image_id, img, cfg) for image_id, img in corpus]
-        values = np.vstack([dset.values for dset in sets])
+    with stage("embed"), tempfile.TemporaryDirectory() as desc_dir:
+        sets = describe_corpus(corpus, cfg, desc_dir)
     with stage("train"):
-        pca = encode.pca_train(values, cfg.pca_dim, whiten=cfg.whiten)
-        reduced = np.vstack([encode.pca_project(pca, dset.values) for dset in sets])
-        gmm = encode.gmm_train(reduced, cfg.gmm_components, cfg.seed)
+        pca, gmm = train_codebook(sets, cfg)
         encode.save_model(args.out, pca, gmm)
-    print(f"trained on {values.shape[0]} descriptors; model written to {args.out}")
+    count = sum(dset.values.shape[0] for dset in sets)
+    print(f"trained on {count} descriptors; model written to {args.out}")
 
 
 def _cmd_encode(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     with stage("encode"):
         pca, gmm = encode.load_model(args.model)
-        entries = []
-        for desc_path in args.descriptors:
-            dset = load_descriptors(desc_path)
-            reduced = encode.pca_project(pca, dset.values)
-            fv = encode.aggregate(gmm, reduced, cfg.normalization)
-            entries.append(index_mod.IndexEntry(image_id=dset.image_id, values=fv.values))
-        idx = index_mod.build(entries)
+        sets = [load_descriptors(path) for path in args.descriptors]
+        idx = index_mod.build(encode_sets(pca, gmm, sets, cfg))
         index_mod.save(args.out, idx)
-    print(f"encoded {len(entries)} images to {args.out}")
+    print(f"encoded {len(idx)} images to {args.out}")
 
 
 def _cmd_index(args: argparse.Namespace) -> None:
@@ -172,7 +140,7 @@ def _cmd_search(args: argparse.Namespace) -> None:
 def _cmd_eval(args: argparse.Namespace) -> None:
     with stage("eval"):
         idx = index_mod.load(args.index)
-        gt = evaluation.load_ground_truth(args.gt, count_query_itself=args.mode == "top4")
+        gt = evaluation.load_ground_truth(args.gt)
         rows, overall = evaluate_index(idx, gt, args.mode)
         evaluation.write_metric_report(args.out, rows, overall, mode=args.mode)
     label = "mAP" if args.mode == "map" else "mean top-4"
@@ -220,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--n", type=int, default=127)
     p.add_argument("--nms-iou", type=float, default=0.5)
-    p.add_argument("--scales", type=str)
+    p.add_argument("--scales", type=int_tuple)
     p.set_defaults(func=_cmd_propose)
 
     p = sub.add_parser("embed", help="compute patch descriptors for one image")
@@ -267,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["translate", "scale", "rotate"], required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--grid", type=str, help="comma-separated parameter values")
-    p.add_argument("--embedder", choices=["global"], default="global")
     p.set_defaults(func=_cmd_sensitivity)
 
     p = sub.add_parser("pipeline", help="embed, train, encode, and index a corpus")

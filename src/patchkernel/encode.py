@@ -168,11 +168,13 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
 
     With more than EM_MAX_SAMPLES (16,384) rows, EM runs on a sorted random
     subset of that size, drawn from the seed's generator before the
-    k-means++ seeding; smaller inputs are used whole. Stops when the
-    relative average log-likelihood improvement drops below 1e-6 or after
-    100 iterations; the average log-likelihood of every iteration is
-    recorded on the returned model. A variance floor of 1e-4 x (mean
-    per-dimension variance of the fitted rows) is applied at every M-step.
+    k-means++ seeding; smaller inputs are used whole. Fewer than 10 fitted
+    rows per component is a training error, raised before any EM work.
+    Stops when the relative average log-likelihood improvement drops below
+    1e-6 or after 100 iterations; the average log-likelihood of every
+    iteration is recorded on the returned model. A variance floor of
+    1e-4 x (mean per-dimension variance of the fitted rows) is applied at
+    every M-step.
 
     Each iteration is two matrix products over the fixed (n, 2D) statistics
     [x, x^2]: one against [mu/var, -1/(2 var)] for the E-step and one of the
@@ -184,9 +186,11 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
     n, dim = data.shape
     if components < 1:
         raise ValueError(f"component count must be >= 1, got {components}")
-    if n < 10 * components:
+    fitted = min(n, EM_MAX_SAMPLES)
+    if fitted < 10 * components:
         raise TrainingError(
-            f"GMM with {components} components needs at least {10 * components} samples, got {n}"
+            f"GMM with {components} components needs at least {10 * components} samples, "
+            f"got {fitted} (EM fits at most {EM_MAX_SAMPLES})"
         )
     rng = np.random.default_rng(seed)
     if n > EM_MAX_SAMPLES:

@@ -22,15 +22,9 @@ ROTATE_GRID = tuple(i * 22.5 for i in range(16))
 
 @dataclass
 class GroundTruth:
-    """Per-query relevance labels.
-
-    relevance maps query_id -> {image_id -> label}; count_query_itself turns
-    on the convention where the query counts as one of its own relevant
-    results (top-4 scoring) instead of being dropped from its ranked list.
-    """
+    """Per-query relevance labels: query_id -> {image_id -> label}."""
 
     relevance: dict[str, dict[str, str]]
-    count_query_itself: bool = False
 
     def queries(self) -> list[str]:
         return sorted(self.relevance)
@@ -57,12 +51,6 @@ def average_precision(ranked_ids: Sequence[str], labels: dict[str, str]) -> floa
             hits += 1
             precision_sum += hits / rank
     return precision_sum / total_relevant
-
-
-def mean_ap(per_query_aps: Sequence[float]) -> float:
-    if len(per_query_aps) == 0:
-        raise ValueError("mean AP undefined for zero queries")
-    return float(np.mean(per_query_aps))
 
 
 def top4_score(
@@ -162,7 +150,7 @@ def write_curve_csv(path: str | Path, curve: SensitivityCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_ground_truth(path: str | Path, count_query_itself: bool = False) -> GroundTruth:
+def load_ground_truth(path: str | Path) -> GroundTruth:
     """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)."""
     lines = Path(path).read_text().strip().splitlines()
     relevance: dict[str, dict[str, str]] = {}
@@ -178,7 +166,7 @@ def load_ground_truth(path: str | Path, count_query_itself: bool = False) -> Gro
         relevance.setdefault(query_id, {})[image_id] = label
     if not relevance:
         raise ValueError(f"{path}: ground truth file has no rows")
-    return GroundTruth(relevance=relevance, count_query_itself=count_query_itself)
+    return GroundTruth(relevance=relevance)
 
 
 def save_ground_truth(path: str | Path, gt: GroundTruth) -> None:

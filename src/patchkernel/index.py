@@ -133,7 +133,10 @@ def load(path: str | Path) -> Index:
         offset += 4
         if offset + id_len + 4 * dim > len(data):
             raise FormatError(f"{path}: truncated entry at byte offset {offset}")
-        image_id = data[offset : offset + id_len].decode("utf-8")
+        try:
+            image_id = data[offset : offset + id_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}: image id is not UTF-8 at byte offset {offset}") from None
         offset += id_len
         values = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
         offset += 4 * dim

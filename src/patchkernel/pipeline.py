@@ -8,10 +8,12 @@ across thread counts.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,45 +61,85 @@ class PipelineConfig:
             raise ValueError(f"unknown normalization policy {self.normalization!r}")
 
     def proposal_config(self) -> ProposalConfig:
-        return ProposalConfig(
-            n=self.n_proposals, scales=self.scales, nms_iou=self.nms_iou,
-            include_rotations=self.rotations,
-        )
+        return ProposalConfig(n=self.n_proposals, scales=self.scales, nms_iou=self.nms_iou)
 
 
 _BOOL_VALUES = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
 
 
-def _parse_bool(raw: str) -> bool:
+def boolean(raw: str) -> bool:
+    """on/off, true/false or 1/0, in any case."""
     if raw.lower() not in _BOOL_VALUES:
         raise ValueError(f"expected a boolean, got {raw!r}")
     return _BOOL_VALUES[raw.lower()]
 
 
+def int_tuple(raw: str) -> tuple[int, ...]:
+    """Comma-separated integers such as the window sides "32,64"."""
+    return tuple(int(v) for v in raw.split(",") if v)
+
+
+class ConfigKey(NamedTuple):
+    """How one PipelineConfig field is read from a config file and from a flag.
+
+    A row with `switch` set is a flag without a value that sets the field
+    to `switch`; every other flag passes its value through `parse`, as the
+    config file does.
+    """
+
+    field: str
+    parse: Callable[[str], object]
+    flag: str
+    help: str
+    switch: object = None
+    choices: tuple[str, ...] | None = None
+
+
+CONFIG_KEYS = (
+    ConfigKey("n_proposals", int, "--n", "proposals per image (default 127)"),
+    ConfigKey("pca_dim", int, "--pca-dim", "PCA output dimension (default 128)"),
+    ConfigKey("gmm_components", int, "--components", "GMM component count (default 64)"),
+    ConfigKey("rotations", boolean, "--rotations", "8-way patch rotation, on|off (default on)"),
+    ConfigKey(
+        "use_proposals", boolean, "--global-baseline",
+        "bypass proposals: one full-frame descriptor per image (rotations default off)",
+        switch=False,
+    ),
+    ConfigKey(
+        "normalization", str, "--policy", "aggregation normalization (default improved)",
+        choices=encode.NORMALIZATION_POLICIES,
+    ),
+    ConfigKey("whiten", boolean, "--whiten", "enable PCA whitening", switch=True),
+    ConfigKey("nms_iou", float, "--nms-iou", "proposal NMS threshold (default 0.5)"),
+    ConfigKey("scales", int_tuple, "--scales", "comma-separated window sides"),
+    ConfigKey("seed", int, "--seed", "training seed (default 42)"),
+    ConfigKey("threads", int, "--threads", "worker threads (default all cores)"),
+)
+
+
 def config_from_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Overlay key=value lines (# comments allowed) onto a base config."""
+    """Overlay key=value lines (# comments allowed) onto a base config.
+
+    Keys are the field names of CONFIG_KEYS. A line that does not parse, or
+    whose value the config rejects, raises ValueError naming path:lineno
+    and the key.
+    """
     cfg = base or PipelineConfig()
-    updates: dict[str, object] = {}
+    parsers = {key.field: key.parse for key in CONFIG_KEYS}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key in ("n_proposals", "pca_dim", "gmm_components", "seed", "threads"):
-            updates[key] = int(raw)
-        elif key in ("rotations", "use_proposals", "whiten"):
-            updates[key] = _parse_bool(raw)
-        elif key == "normalization":
-            updates[key] = raw
-        elif key == "nms_iou":
-            updates[key] = float(raw)
-        elif key == "scales":
-            updates[key] = tuple(int(v) for v in raw.split(",") if v)
-        else:
-            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-    return replace(cfg, **updates)
+        name, raw = (part.strip() for part in line.split("=", 1))
+        if name not in parsers:
+            raise ValueError(f"{path}:{lineno}: unknown config key {name!r}")
+        try:
+            cfg = replace(cfg, **{name: parsers[name](raw)})
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
+    return cfg
 
 
 def resolve_threads(requested: int | None) -> int:
@@ -167,6 +209,50 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Image]]:
     return [(p.stem, read_pgm(p)) for p in paths]
 
 
+def describe_corpus(
+    corpus: list[tuple[str, Image]], cfg: PipelineConfig, desc_dir: str | Path
+) -> list[DescriptorSet]:
+    """Describe every image in the thread pool and write one KDESC file each.
+
+    Returns the sets as read back from those files, so later stages see
+    the same f32 values that `encode` reads from them, and images whose
+    descriptors agree in f32 get identical vectors.
+    """
+    desc_dir = Path(desc_dir)
+    desc_dir.mkdir(parents=True, exist_ok=True)
+    with ThreadPoolExecutor(max_workers=resolve_threads(cfg.threads)) as pool:
+        sets = list(pool.map(lambda item: describe_image(item[0], item[1], cfg), corpus))
+    read_back = []
+    for dset in sets:
+        path = desc_dir / f"{dset.image_id}.kdesc"
+        save_descriptors(path, dset)
+        read_back.append(load_descriptors(path))
+    return read_back
+
+
+def train_codebook(
+    sets: list[DescriptorSet], cfg: PipelineConfig
+) -> tuple[encode.PCAModel, encode.GMMModel]:
+    """Fit PCA on every descriptor, then the GMM on their projections."""
+    all_values = np.vstack([dset.values for dset in sets])
+    pca = encode.pca_train(all_values, cfg.pca_dim, whiten=cfg.whiten)
+    reduced = np.vstack([encode.pca_project(pca, dset.values) for dset in sets])
+    return pca, encode.gmm_train(reduced, cfg.gmm_components, cfg.seed)
+
+
+def encode_sets(
+    pca: encode.PCAModel, gmm: encode.GMMModel, sets: list[DescriptorSet], cfg: PipelineConfig
+) -> list[index_mod.IndexEntry]:
+    """Project and aggregate each set into its Fisher vector, in the thread pool."""
+
+    def encode_one(dset: DescriptorSet) -> index_mod.IndexEntry:
+        fv = encode.aggregate(gmm, encode.pca_project(pca, dset.values), cfg.normalization)
+        return index_mod.IndexEntry(image_id=dset.image_id, values=fv.values)
+
+    with ThreadPoolExecutor(max_workers=resolve_threads(cfg.threads)) as pool:
+        return list(pool.map(encode_one, sets))
+
+
 @dataclass
 class PipelineArtifacts:
     index_path: Path
@@ -180,54 +266,28 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
     """Describe a corpus, train the codebook on it, encode, and persist an index."""
     out_dir = Path(out_dir)
     desc_dir = out_dir / "descriptors"
-    desc_dir.mkdir(parents=True, exist_ok=True)
-    workers = resolve_threads(cfg.threads)
+    model_path = out_dir / "model.kmdl"
+    index_path = out_dir / "index.kidx"
+    resolve_threads(cfg.threads)  # a malformed KCNN_THREADS fails before any work
 
     with stage("corpus"):
         corpus = load_corpus(corpus_dir)
-
     with stage("embed"):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            sets = list(
-                pool.map(lambda item: describe_image(item[0], item[1], cfg), corpus)
-            )
-        # Train and encode from the persisted f32 descriptors: the index then
-        # equals what `encode` gives on these KDESC files with this model,
-        # and images whose descriptors agree in f32 get identical vectors.
-        for i, dset in enumerate(sets):
-            path = desc_dir / f"{dset.image_id}.kdesc"
-            save_descriptors(path, dset)
-            sets[i] = load_descriptors(path)
-
+        sets = describe_corpus(corpus, cfg, desc_dir)
     with stage("train"):
-        all_values = np.vstack([dset.values for dset in sets])
-        pca = encode.pca_train(all_values, cfg.pca_dim, whiten=cfg.whiten)
-        reduced = [encode.pca_project(pca, dset.values) for dset in sets]
-        gmm = encode.gmm_train(np.vstack(reduced), cfg.gmm_components, cfg.seed)
-        model_path = out_dir / "model.kmdl"
+        pca, gmm = train_codebook(sets, cfg)
         encode.save_model(model_path, pca, gmm)
-
     with stage("encode"):
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vectors = list(
-                pool.map(lambda xs: encode.aggregate(gmm, xs, cfg.normalization), reduced)
-            )
-        entries = [
-            index_mod.IndexEntry(image_id=dset.image_id, values=fv.values)
-            for dset, fv in zip(sets, vectors)
-        ]
-
+        entries = encode_sets(pca, gmm, sets, cfg)
     with stage("index"):
-        idx = index_mod.build(entries)
-        index_path = out_dir / "index.kidx"
-        index_mod.save(index_path, idx)
+        index_mod.save(index_path, index_mod.build(entries))
 
     return PipelineArtifacts(
         index_path=index_path,
         model_path=model_path,
         descriptor_dir=desc_dir,
         image_count=len(corpus),
-        descriptor_count=int(all_values.shape[0]),
+        descriptor_count=sum(dset.values.shape[0] for dset in sets),
     )
 
 

@@ -24,14 +24,13 @@ ROTATION_STEP_DEG = 45.0
 
 @dataclass(frozen=True)
 class Patch:
-    """Rectangular proposal with contrast score and rotation index."""
+    """Rectangular proposal with its contrast score."""
 
     x: int
     y: int
     w: int
     h: int
     objectness: float
-    rotation_index: int = 0
 
     def __post_init__(self) -> None:
         if self.w < MIN_PATCH_SIDE or self.h < MIN_PATCH_SIDE:
@@ -40,8 +39,6 @@ class Patch:
             raise ValueError(f"patch origin ({self.x}, {self.y}) negative")
         if not math.isfinite(self.objectness):
             raise ValueError("patch objectness must be finite")
-        if not 0 <= self.rotation_index < ROTATION_COUNT:
-            raise ValueError(f"rotation index {self.rotation_index} outside 0..7")
 
     def rect(self) -> tuple[int, int, int, int]:
         return (self.x, self.y, self.w, self.h)
@@ -54,7 +51,6 @@ class ProposalConfig:
     n: int = 127
     scales: tuple[int, ...] | None = None
     nms_iou: float = 0.5
-    include_rotations: bool = True
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -193,13 +189,3 @@ def write_patches_csv(path: str | Path, patches: list[Patch]) -> None:
         lines.append(f"{i},{p.x},{p.y},{p.w},{p.h},{p.objectness:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def read_patches_csv(path: str | Path) -> list[Patch]:
-    text = Path(path).read_text().strip().splitlines()
-    if not text or text[0] != "patch_id,x,y,w,h,score":
-        raise ValueError(f"{path}: missing patch CSV header")
-    patches = []
-    for line in text[1:]:
-        _, x, y, w, h, score = line.split(",")
-        patches.append(Patch(x=int(x), y=int(y), w=int(w), h=int(h), objectness=float(score)))
-    return patches

@@ -53,38 +53,6 @@ class Image:
         return self.pixels.shape[1]
 
 
-@dataclass(frozen=True)
-class TransformSpec:
-    """One geometric transform: kind is 'translate', 'scale', or 'rotate'.
-
-    Exactly the parameter matching `kind` is meaningful: t (pixels) for
-    translate, s (ratio) for scale, theta (degrees in [0, 360)) for rotate.
-    """
-
-    kind: str
-    t: int = 0
-    s: float = 1.0
-    theta: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("translate", "scale", "rotate"):
-            raise ValueError(f"unknown transform kind: {self.kind!r}")
-        if self.kind == "translate" and self.t < 0:
-            raise ValueError(f"translation must be >= 0, got {self.t}")
-        if self.kind == "scale" and not (SCALE_MIN <= self.s <= SCALE_MAX):
-            raise ValueError(f"scale must lie in [{SCALE_MIN}, {SCALE_MAX}], got {self.s}")
-        if self.kind == "rotate" and not (0.0 <= self.theta < 360.0):
-            raise ValueError(f"rotation must lie in [0, 360), got {self.theta}")
-
-
-def apply_transform(img: Image, spec: TransformSpec) -> Image:
-    if spec.kind == "translate":
-        return translate_circular(img, spec.t)
-    if spec.kind == "scale":
-        return scale_same_size(img, spec.s)
-    return rotate_center_crop(img, spec.theta)
-
-
 def translate_circular(img: Image, t: int) -> Image:
     """Shift the image t pixels to the left on an edge-padded double canvas.
 

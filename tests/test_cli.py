@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from patchkernel import index as index_mod
-from patchkernel.cli import main
+from patchkernel.cli import _config_from_args, build_parser, main
 from patchkernel.embed import load_descriptors
 from patchkernel.pipeline import PipelineConfig, config_from_file, resolve_threads
 
@@ -201,21 +201,70 @@ def test_stage_prefix_from_pipeline(tmp_path, capsys):
     assert err.startswith("corpus: ")
 
 
+def test_train_reproduces_pipeline_model(corpus, artifacts, tmp_path):
+    out = tmp_path / "model.kmdl"
+    code = main(["train", "--corpus", str(corpus), "--out", str(out)] + FAST)
+    assert code == 0
+    assert out.read_bytes() == (artifacts / "model.kmdl").read_bytes()
+
+
+def test_encode_reproduces_pipeline_index(artifacts, tmp_path):
+    descs = sorted((artifacts / "descriptors").glob("*.kdesc"))
+    assert len(descs) == 20
+    out = tmp_path / "all.kidx"
+    code = main(
+        ["encode", *map(str, descs), "--model", str(artifacts / "model.kmdl"),
+         "--out", str(out)] + FAST
+    )
+    assert code == 0
+    assert out.read_bytes() == (artifacts / "index.kidx").read_bytes()
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
         "# comment\nn_proposals=9\npca_dim=24\ngmm_components=3\n"
         "rotations=off\nnms_iou=0.4\nscales=32,48\nseed=7\n"
+        "normalization=raw\nwhiten=true\nuse_proposals=0\nthreads=2\n"
     )
     cfg = config_from_file(cfg_file)
     assert cfg == PipelineConfig(
         n_proposals=9, pca_dim=24, gmm_components=3, rotations=False,
-        nms_iou=0.4, scales=(32, 48), seed=7,
+        nms_iou=0.4, scales=(32, 48), seed=7, normalization="raw", whiten=True,
+        use_proposals=False, threads=2,
     )
     bad = tmp_path / "bad.cfg"
     bad.write_text("x=1\n")
     with pytest.raises(ValueError, match="unknown config key"):
         config_from_file(bad)
+
+
+@pytest.mark.parametrize("line", ["n_proposals=abc", "rotations=maybe"])
+def test_config_file_bad_value_names_line_and_key(line, tmp_path, capsys):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"seed=7\n{line}\n")
+    code = main(
+        ["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
+         "--config", str(cfg_file)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err.strip()
+    key = line.split("=")[0]
+    assert err.startswith(f"pipeline: {cfg_file}:2: {key}: ")
+    assert "\n" not in err
+
+
+def test_flags_override_config_file(tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("rotations=on\nwhiten=off\nscales=32\n")
+    args = build_parser().parse_args(
+        ["pipeline", "--corpus", "c", "--out", "o", "--config", str(cfg_file),
+         "--global-baseline", "--whiten", "--scales", "16,48", "--policy", "raw"]
+    )
+    assert _config_from_args(args) == PipelineConfig(
+        use_proposals=False, rotations=False, whiten=True, scales=(16, 48),
+        normalization="raw",
+    )
 
 
 def test_threads_env_override(monkeypatch):

@@ -162,6 +162,16 @@ class TestGmmTrain:
         with pytest.raises(TrainingError, match="at least 20"):
             gmm_train(np.zeros((19, 2)), 2, seed=0)
 
+    def test_sample_cap_counts_toward_rows_per_component(self, monkeypatch):
+        # 17,000 rows cover 1,700 components, but EM fits only 16,384 of them.
+        def no_seeding(*args):
+            raise AssertionError("EM started")
+
+        monkeypatch.setattr("patchkernel.encode._kmeanspp_centers", no_seeding)
+        data = np.linspace(0.0, 1.0, 17_000)[:, None]
+        with pytest.raises(TrainingError, match=f"at least 17000 samples, got {EM_MAX_SAMPLES}"):
+            gmm_train(data, 1_700, seed=0)
+
     def test_degenerate_data_raises_numerical_error(self):
         with pytest.raises(TrainingError, match="iteration"):
             gmm_train(np.ones((50, 2)), 1, seed=0)

@@ -9,7 +9,6 @@ from patchkernel.evaluation import (
     average_precision,
     default_grid,
     load_ground_truth,
-    mean_ap,
     save_ground_truth,
     sensitivity_study,
     top4_score,
@@ -109,18 +108,6 @@ class TestAveragePrecision:
         for _ in range(50):
             ranked, labels = random_instance(rng)
             assert 0.0 <= average_precision(ranked, labels) <= 1.0
-
-
-class TestMeanAp:
-    def test_single_query(self):
-        assert mean_ap([0.7]) == pytest.approx(0.7)
-
-    def test_two_queries(self):
-        assert mean_ap([1.0, 0.0]) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean_ap([])
 
 
 class TestTop4:

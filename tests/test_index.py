@@ -179,3 +179,11 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load(path)
+
+    def test_non_utf8_id_rejected(self, tmp_path):
+        path = tmp_path / "bad_id.kidx"
+        header = struct.pack("<4sIII", b"KIDX", 1, 2, 1)
+        entry = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<2f", 0.6, 0.8)
+        path.write_bytes(header + entry)
+        with pytest.raises(FormatError, match="UTF-8 at byte offset 20"):
+            load(path)

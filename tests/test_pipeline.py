@@ -98,7 +98,7 @@ class TestEvaluateIndex:
         assert overall == 1.0
 
     def test_top4_mode_counts_query_itself(self):
-        gt = GroundTruth(relevance={"q": {"r": "rel"}}, count_query_itself=True)
+        gt = GroundTruth(relevance={"q": {"r": "rel"}})
         rows, overall = evaluate_index(self._index(), gt, "top4")
         assert rows == [("q", 2.0)]  # the query itself plus its relative
 

@@ -11,7 +11,6 @@ from patchkernel.proposals import (
     iou,
     objectness_map,
     propose,
-    read_patches_csv,
     rotation_stack,
     write_patches_csv,
 )
@@ -170,8 +169,6 @@ class TestAugmentRotations:
             Patch(x=0, y=0, w=8, h=32, objectness=0.0)
         with pytest.raises(ValueError):
             Patch(x=0, y=0, w=32, h=32, objectness=float("nan"))
-        with pytest.raises(ValueError):
-            Patch(x=0, y=0, w=32, h=32, objectness=0.0, rotation_index=8)
 
 
 class TestPatchCsv:
@@ -185,5 +182,5 @@ class TestPatchCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "patch_id,x,y,w,h,score"
         assert lines[1] == "0,4,8,32,32,0.123457"
-        back = read_patches_csv(path)
-        assert [p.rect() for p in back] == [p.rect() for p in patches]
+        assert lines[2] == "1,0,0,64,48,-0.500000"
+        assert len(lines) == 3

@@ -6,8 +6,6 @@ import pytest
 from patchkernel.errors import FormatError
 from patchkernel.raster import (
     Image,
-    TransformSpec,
-    apply_transform,
     crop,
     read_pgm,
     resize_bilinear,
@@ -200,25 +198,6 @@ class TestInvariants:
         img = Image(np.zeros((8, 8)))
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1.0  # immutable
-
-
-class TestTransformSpec:
-    def test_dispatch(self):
-        img = ramp8()
-        out = apply_transform(img, TransformSpec(kind="translate", t=3))
-        assert np.array_equal(out.pixels, translate_circular(img, 3).pixels)
-        out = apply_transform(img, TransformSpec(kind="scale", s=0.5))
-        assert np.array_equal(out.pixels, scale_same_size(img, 0.5).pixels)
-        out = apply_transform(img, TransformSpec(kind="rotate", theta=90.0))
-        assert np.array_equal(out.pixels, rotate_center_crop(img, 90.0).pixels)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TransformSpec(kind="shear")
-        with pytest.raises(ValueError):
-            TransformSpec(kind="scale", s=9.0)
-        with pytest.raises(ValueError):
-            TransformSpec(kind="rotate", theta=400.0)
 
 
 class TestResize:
