@@ -21,6 +21,7 @@ PATCH_SIDE = 32
 GRID_CELLS = 4
 ORIENT_BINS = 8
 DESCRIPTOR_DIM = GRID_CELLS * GRID_CELLS * ORIENT_BINS
+ROTATION_COUNT = 8  # rotated copies per patch; KDESC rotation indices lie below it
 
 KDESC_MAGIC = b"KDSC"
 KDESC_VERSION = 1
@@ -205,6 +206,13 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
             f"failed at byte offset {offset}"
         )
     records = np.frombuffer(data, dtype=dtype, count=count, offset=_KDESC_HEADER.size)
+    rotation = records["rotation_index"]
+    if np.any(rotation >= ROTATION_COUNT):
+        idx = int(np.argmax(rotation >= ROTATION_COUNT))
+        offset = _KDESC_HEADER.size + idx * dtype.itemsize + dtype.fields["rotation_index"][1]
+        raise FormatError(
+            f"{path}: rotation index {rotation[idx]} >= {ROTATION_COUNT} at byte offset {offset}"
+        )
 
     values = records["values"].astype(np.float64)
     finite = np.isfinite(values).all(axis=1)

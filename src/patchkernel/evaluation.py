@@ -4,7 +4,7 @@ transform-sensitivity harness that produces mean/std similarity curves.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,18 +53,13 @@ def average_precision(ranked_ids: Sequence[str], labels: dict[str, str]) -> floa
     return precision_sum / total_relevant
 
 
-def top4_score(
-    ranked_ids: Sequence[str],
-    labels: dict[str, str],
-    query_id: str,
-    count_query_itself: bool = True,
-) -> float:
-    """Count of relevant images among the first four results (0..4)."""
+def top4_score(ranked_ids: Sequence[str], labels: dict[str, str], query_id: str) -> float:
+    """Count of relevant images, the query included, among the first four results (0..4)."""
     correct = 0
     for image_id in list(ranked_ids)[:4]:
         if labels.get(image_id) == "rel":
             correct += 1
-        elif count_query_itself and image_id == query_id:
+        elif image_id == query_id:
             correct += 1
     return float(correct)
 
@@ -107,10 +102,7 @@ def default_grid(kind: str, width: int) -> list[float]:
 
 
 def sensitivity_study(
-    corpus: Sequence[tuple[str, Image]],
-    kind: str,
-    grid: Sequence[float],
-    embedder: Callable[[Image], np.ndarray] = embed_image_global,
+    corpus: Sequence[tuple[str, Image]], kind: str, grid: Sequence[float]
 ) -> SensitivityCurve:
     """Similarity of each image's feature to its transformed versions.
 
@@ -131,9 +123,9 @@ def sensitivity_study(
 
     sims = np.empty((len(corpus), len(grid)))
     for row, (_, img) in enumerate(corpus):
-        ref_feature = embedder(_apply(img, kind, reference))
+        ref_feature = embed_image_global(_apply(img, kind, reference))
         for col, value in enumerate(grid):
-            sims[row, col] = cosine(ref_feature, embedder(_apply(img, kind, value)))
+            sims[row, col] = cosine(ref_feature, embed_image_global(_apply(img, kind, value)))
     return SensitivityCurve(
         kind=kind,
         grid=np.asarray(grid, dtype=np.float64),

@@ -95,8 +95,9 @@ def search(index: Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     if query.shape[0] != index.dim:
         raise ValueError(f"query dim {query.shape[0]} != index dim {index.dim}")
     scores = index._matrix.astype(np.float64) @ query
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index._ids[i]))
-    return [(index._ids[i], float(scores[i])) for i in order[:k]]
+    # Rows are in ascending id order, so a stable sort breaks ties by id.
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(index._ids[i], float(scores[i])) for i in order]
 
 
 _KIDX_HEADER = struct.Struct("<4sIII")
@@ -125,8 +126,9 @@ def load(path: str | Path) -> Index:
     if version != KIDX_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
     offset = _KIDX_HEADER.size
-    entries: list[IndexEntry] = []
+    entries: dict[str, IndexEntry] = {}
     for _ in range(count):
+        start = offset
         if offset + 4 > len(data):
             raise FormatError(f"{path}: truncated id length at byte offset {offset}")
         (id_len,) = struct.unpack_from("<I", data, offset)
@@ -137,10 +139,12 @@ def load(path: str | Path) -> Index:
             image_id = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: image id is not UTF-8 at byte offset {offset}") from None
+        if image_id in entries:
+            raise FormatError(f"{path}: duplicate image id {image_id!r} at byte offset {start}")
         offset += id_len
         values = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
         offset += 4 * dim
-        entries.append(IndexEntry(image_id=image_id, values=values))
+        entries[image_id] = IndexEntry(image_id=image_id, values=values)
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
-    return build(entries)
+    return build(list(entries.values()))

@@ -28,8 +28,8 @@ from .embed import (
     save_descriptors,
 )
 from .errors import StageError
-from .proposals import Patch, ProposalConfig, augment_rotations, propose
-from .raster import Image, read_pgm, resize_bilinear
+from .proposals import Patch, ProposalConfig, augment_rotations, patch_rasters, propose
+from .raster import Image, read_pgm
 
 THREADS_ENV_VAR = "KCNN_THREADS"
 
@@ -182,21 +182,16 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
     else:
         patches = [full_frame_patch(img)]
 
-    rasters: list[np.ndarray] = []
-    meta: list[DescriptorMeta] = []
-    for patch_id, p in enumerate(patches):
-        if cfg.rotations:
-            stack = augment_rotations(img, p)
-            for rotation_index in range(stack.shape[0]):
-                rasters.append(stack[rotation_index])
-                meta.append(
-                    DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
-                )
-        else:
-            window = img.pixels[p.y : p.y + p.h, p.x : p.x + p.w]
-            rasters.append(resize_bilinear(window, PATCH_SIDE, PATCH_SIDE))
-            meta.append(DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, 0, p.objectness))
-    values = embed_patches(np.stack(rasters))
+    if cfg.rotations:
+        rasters = augment_rotations(img, patches)
+    else:
+        rasters = patch_rasters(img, patches)[:, None]
+    meta = [
+        DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
+        for patch_id, p in enumerate(patches)
+        for rotation_index in range(rasters.shape[1])
+    ]
+    values = embed_patches(rasters.reshape(-1, PATCH_SIDE, PATCH_SIDE))
     return DescriptorSet(image_id=image_id, meta=meta, values=values)
 
 
@@ -312,8 +307,6 @@ def evaluate_index(
             ranked = [image_id for image_id in ranked if image_id != query_id]
             rows.append((query_id, evaluation.average_precision(ranked, labels)))
         else:
-            rows.append(
-                (query_id, evaluation.top4_score(ranked, labels, query_id, count_query_itself=True))
-            )
+            rows.append((query_id, evaluation.top4_score(ranked, labels, query_id)))
     overall = float(np.mean([value for _, value in rows]))
     return rows, overall

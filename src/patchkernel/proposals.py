@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import PATCH_SIDE
+from .embed import PATCH_SIDE, ROTATION_COUNT
 from .raster import Image, _rotate_crop_array, resize_bilinear
 
 MIN_PATCH_SIDE = 16
 DEFAULT_SCALES = (32, 64, 128)
-ROTATION_COUNT = 8
 ROTATION_STEP_DEG = 45.0
 
 
@@ -85,8 +84,10 @@ def iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def _center_ring_score(ii: np.ndarray, x: int, y: int, w: int, h: int) -> float:
-    """Mean objectness of the inner 50% box minus the mean of the border ring."""
+def _center_ring_score(
+    ii: np.ndarray, x: int | np.ndarray, y: int | np.ndarray, w: int, h: int
+) -> float | np.ndarray:
+    """Inner 50% box mean minus border-ring mean of objectness, at one origin or an array."""
     inner_sum = _box_sum(ii, y + h // 4, x + w // 4, h // 2, w // 2)
     total_sum = _box_sum(ii, y, x, h, w)
     inner_area = (h // 2) * (w // 2)
@@ -121,13 +122,7 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
         ys = np.arange(0, img.height - scale + 1, stride)
         xs = np.arange(0, img.width - scale + 1, stride)
         yy, xx = np.meshgrid(ys, xs, indexing="ij")
-        inner = scale // 2
-        off = scale // 4
-        total = _box_sum(ii, yy, xx, scale, scale)
-        core = _box_sum(ii, yy + off, xx + off, inner, inner)
-        inner_area = inner * inner
-        ring_area = scale * scale - inner_area
-        scores = core / inner_area - (total - core) / ring_area
+        scores = _center_ring_score(ii, xx, yy, scale, scale)
         for r, c in zip(*np.nonzero(scores > 0.0)):
             candidates.append((float(scores[r, c]), int(yy[r, c]), int(xx[r, c]), scale))
 
@@ -154,31 +149,39 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
     return patches
 
 
-def augment_rotations(img: Image, p: Patch) -> np.ndarray:
-    """Return the 8 rotated copies of a patch as an (8, P, P) array.
+def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
+    """Crop each patch from the image and resize it to P x P: an (n, P, P) array."""
+    out = np.empty((len(patches), PATCH_SIDE, PATCH_SIDE))
+    for i, p in enumerate(patches):
+        if p.x + p.w > img.width or p.y + p.h > img.height:
+            raise ValueError(f"patch {p.rect()} exceeds {img.width}x{img.height} image")
+        window = img.pixels[p.y : p.y + p.h, p.x : p.x + p.w]
+        out[i] = resize_bilinear(window, PATCH_SIDE, PATCH_SIDE)
+    return out
 
-    The patch is cropped, resized to the canonical side, then rotated in 45
+
+def augment_rotations(img: Image, patches: list[Patch]) -> np.ndarray:
+    """Return the 8 rotated copies of every patch as an (n, 8, P, P) array.
+
+    Each patch is cropped, resized to the canonical side, then rotated in 45
     degree steps: multiples of 90 are exact pixel permutations, the 45 family
     is an exact quarter-turn followed by a bilinear rotate, inscribed-square
     crop, and resize back. Pre-rotating the patch raster by 90 degrees
     therefore permutes the 8 copies bit-exactly instead of changing them.
     """
-    if p.x + p.w > img.width or p.y + p.h > img.height:
-        raise ValueError(f"patch {p.rect()} exceeds {img.width}x{img.height} image")
-    base = resize_bilinear(img.pixels[p.y : p.y + p.h, p.x : p.x + p.w], PATCH_SIDE, PATCH_SIDE)
-    return rotation_stack(base)
+    return rotation_stack(patch_rasters(img, patches))
 
 
-def rotation_stack(base: np.ndarray) -> np.ndarray:
-    """The 8 rotated copies of one P x P raster (see augment_rotations)."""
-    out = np.empty((ROTATION_COUNT, PATCH_SIDE, PATCH_SIDE))
+def rotation_stack(bases: np.ndarray) -> np.ndarray:
+    """The 8 rotated copies of a (..., P, P) stack as (..., 8, P, P); see augment_rotations."""
+    out = np.empty(bases.shape[:-2] + (ROTATION_COUNT, PATCH_SIDE, PATCH_SIDE))
     for j in range(ROTATION_COUNT):
-        quarter = np.rot90(base, j // 2)
+        quarter = np.rot90(bases, j // 2, axes=(-2, -1))
         if j % 2 == 0:
-            out[j] = quarter
+            out[..., j, :, :] = quarter
         else:
             tilted = _rotate_crop_array(quarter, ROTATION_STEP_DEG)
-            out[j] = resize_bilinear(tilted, PATCH_SIDE, PATCH_SIDE)
+            out[..., j, :, :] = resize_bilinear(tilted, PATCH_SIDE, PATCH_SIDE)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -124,8 +124,8 @@ def rotation_crop_side(height: int, width: int) -> int:
 
 
 def _bilinear_sample(pix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sample pix at fractional (row, col) positions with edge replication."""
-    m, n = pix.shape
+    """Sample the last two axes of pix at fractional (row, col) positions, edge-replicated."""
+    m, n = pix.shape[-2:]
     rows = np.clip(rows, 0.0, m - 1.0)
     cols = np.clip(cols, 0.0, n - 1.0)
     r0 = np.floor(rows).astype(np.intp)
@@ -134,14 +134,14 @@ def _bilinear_sample(pix: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.
     c1 = np.minimum(c0 + 1, n - 1)
     fr = rows - r0
     fc = cols - c0
-    top = pix[r0, c0] * (1.0 - fc) + pix[r0, c1] * fc
-    bot = pix[r1, c0] * (1.0 - fc) + pix[r1, c1] * fc
+    top = pix[..., r0, c0] * (1.0 - fc) + pix[..., r0, c1] * fc
+    bot = pix[..., r1, c0] * (1.0 - fc) + pix[..., r1, c1] * fc
     return top * (1.0 - fr) + bot * fr
 
 
 def _rotate_crop_array(pix: np.ndarray, theta: float) -> np.ndarray:
-    """Inscribed-square rotation on a raw array; theta in degrees CCW."""
-    m, n = pix.shape
+    """Inscribed-square rotation of the last two axes; theta in degrees CCW."""
+    m, n = pix.shape[-2:]
     side = rotation_crop_side(m, n)
     if side < _MIN_RASTER_SIDE:
         raise ValueError(f"{m}x{n} raster too small to rotate-crop")
@@ -160,12 +160,12 @@ def _rotate_crop_array(pix: np.ndarray, theta: float) -> np.ndarray:
 
 
 def resize_bilinear(pix: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Resize a raw array with corner-aligned bilinear sampling.
+    """Resize the last two axes of an array with corner-aligned bilinear sampling.
 
     Corner alignment keeps every sample inside the source raster, so no
     border pixel is ever extrapolated.
     """
-    m, n = pix.shape
+    m, n = pix.shape[-2:]
     if (m, n) == (out_h, out_w):
         return pix.copy()
     rows = np.linspace(0.0, m - 1.0, out_h)

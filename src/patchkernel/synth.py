@@ -17,7 +17,6 @@ from .evaluation import GroundTruth, save_ground_truth
 from .raster import Image, scale_same_size, translate_circular, write_pgm
 
 IMAGE_SIDE = 128
-RELATIVE_SUFFIXES = ("rot", "tra", "sca", "mix")
 
 
 def make_base_image(rng: np.random.Generator, side: int = IMAGE_SIDE) -> Image:

@@ -212,6 +212,16 @@ class TestKdesc:
         with pytest.raises(FormatError, match="non-finite .* byte offset 41"):
             load_descriptors(path)
 
+    def test_rotation_index_above_seven_names_offset(self, tmp_path):
+        path = tmp_path / "rot.kdesc"
+        header = struct.pack("<4sIII", b"KDSC", 1, 4, 2)
+        values = np.array([0.6, 0.8, 0.0, 0.0], dtype="<f4").tobytes()
+        good = struct.pack("<IIIIIBf", 0, 0, 0, 16, 16, 7, 0.0) + values
+        bad = struct.pack("<IIIIIBf", 1, 0, 0, 16, 16, 9, 0.0) + values
+        path.write_bytes(header + good + bad)
+        with pytest.raises(FormatError, match="rotation index 9 .* byte offset 77"):
+            load_descriptors(path)
+
     def test_truncation_names_offset(self, tmp_path):
         rng = np.random.default_rng(29)
         path = tmp_path / "trunc.kdesc"

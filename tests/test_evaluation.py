@@ -122,8 +122,7 @@ class TestTop4:
     def test_query_counts_itself_when_flagged(self):
         labels = {"g1": "rel"}
         ranked = ["q", "g1", "x", "y"]
-        assert top4_score(ranked, labels, "q", count_query_itself=True) == 2.0
-        assert top4_score(ranked, labels, "q", count_query_itself=False) == 1.0
+        assert top4_score(ranked, labels, "q") == 2.0
 
     def test_range(self):
         rng = np.random.default_rng(93)

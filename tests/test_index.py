@@ -187,3 +187,11 @@ class TestPersistence:
         path.write_bytes(header + entry)
         with pytest.raises(FormatError, match="UTF-8 at byte offset 20"):
             load(path)
+
+    def test_duplicate_id_rejected_with_offset(self, tmp_path):
+        path = tmp_path / "dup.kidx"
+        header = struct.pack("<4sIII", b"KIDX", 1, 2, 2)
+        entry = struct.pack("<I", 1) + b"a" + struct.pack("<2f", 0.6, 0.8)
+        path.write_bytes(header + entry + entry)
+        with pytest.raises(FormatError, match="duplicate image id 'a' at byte offset 29"):
+            load(path)

@@ -10,11 +10,12 @@ from patchkernel.proposals import (
     augment_rotations,
     iou,
     objectness_map,
+    patch_rasters,
     propose,
     rotation_stack,
     write_patches_csv,
 )
-from patchkernel.raster import Image
+from patchkernel.raster import Image, resize_bilinear
 
 
 def blob_image(side=128, cy=40, cx=88, sigma=9.0) -> Image:
@@ -123,10 +124,10 @@ class TestPropose:
 class TestAugmentRotations:
     def test_constant_patch_eight_identical(self):
         img = Image(np.full((64, 64), 0.6))
-        stack = augment_rotations(img, Patch(x=8, y=8, w=32, h=32, objectness=0.1))
-        assert stack.shape == (8, PATCH_SIDE, PATCH_SIDE)
+        stack = augment_rotations(img, [Patch(x=8, y=8, w=32, h=32, objectness=0.1)])
+        assert stack.shape == (1, 8, PATCH_SIDE, PATCH_SIDE)
         for j in range(8):
-            np.testing.assert_allclose(stack[j], 0.6, atol=1e-12)
+            np.testing.assert_allclose(stack[0, j], 0.6, atol=1e-12)
 
     def test_quarter_turn_composition_bit_exact(self):
         rng = np.random.default_rng(13)
@@ -155,14 +156,38 @@ class TestAugmentRotations:
     def test_rasters_in_range(self):
         rng = np.random.default_rng(15)
         img = Image(rng.random((80, 80)))
-        stack = augment_rotations(img, Patch(x=10, y=6, w=48, h=48, objectness=0.0))
-        assert stack.shape == (8, PATCH_SIDE, PATCH_SIDE)
+        stack = augment_rotations(img, [Patch(x=10, y=6, w=48, h=48, objectness=0.0)])
+        assert stack.shape == (1, 8, PATCH_SIDE, PATCH_SIDE)
         assert stack.min() >= 0.0 and stack.max() <= 1.0
 
     def test_patch_outside_image_rejected(self):
         img = Image(np.zeros((32, 32)) + 0.5)
         with pytest.raises(ValueError, match="exceeds"):
-            augment_rotations(img, Patch(x=8, y=8, w=32, h=32, objectness=0.0))
+            augment_rotations(img, [Patch(x=8, y=8, w=32, h=32, objectness=0.0)])
+
+    def test_patch_outside_image_rejected_without_rotations(self):
+        img = Image(np.zeros((32, 48)) + 0.5)
+        inside = Patch(x=0, y=0, w=32, h=32, objectness=0.0)
+        with pytest.raises(ValueError, match="exceeds 48x32 image"):
+            patch_rasters(img, [inside, Patch(x=0, y=16, w=32, h=32, objectness=0.0)])
+
+    def test_stack_equals_per_slice_bit_exact(self):
+        rng = np.random.default_rng(16)
+        bases = rng.random((5, PATCH_SIDE, PATCH_SIDE))
+        stack = rotation_stack(bases)
+        assert stack.shape == (5, 8, PATCH_SIDE, PATCH_SIDE)
+        assert np.array_equal(stack, np.stack([rotation_stack(base) for base in bases]))
+
+    def test_image_stack_equals_per_patch_oracle_bit_exact(self):
+        rng = np.random.default_rng(17)
+        img = Image(np.clip(blob_image().pixels + 0.1 * rng.random((128, 128)), 0.0, 1.0))
+        patches = propose(img, ProposalConfig(n=40))
+        assert len({p.w for p in patches}) > 1
+        windows = [img.pixels[p.y : p.y + p.h, p.x : p.x + p.w] for p in patches]
+        bases = [resize_bilinear(window, PATCH_SIDE, PATCH_SIDE) for window in windows]
+        assert np.array_equal(patch_rasters(img, patches), np.stack(bases))
+        oracle = np.stack([rotation_stack(base) for base in bases])
+        assert np.array_equal(augment_rotations(img, patches), oracle)
 
     def test_patch_validation(self):
         with pytest.raises(ValueError):

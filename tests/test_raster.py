@@ -6,6 +6,7 @@ import pytest
 from patchkernel.errors import FormatError
 from patchkernel.raster import (
     Image,
+    _rotate_crop_array,
     crop,
     read_pgm,
     resize_bilinear,
@@ -209,6 +210,18 @@ class TestResize:
     def test_constant_preserved(self):
         out = resize_bilinear(np.full((10, 14), 0.42), 32, 32)
         np.testing.assert_allclose(out, 0.42, atol=1e-12)
+
+
+class TestStacks:
+    def test_resize_and_rotate_act_per_slice_bit_exact(self):
+        rng = np.random.default_rng(77)
+        stack = rng.random((3, 20, 28))
+        resized = resize_bilinear(stack, 32, 32)
+        rotated = _rotate_crop_array(stack, 45.0)
+        assert resized.shape == (3, 32, 32)
+        for k in range(3):
+            assert np.array_equal(resized[k], resize_bilinear(stack[k], 32, 32))
+            assert np.array_equal(rotated[k], _rotate_crop_array(stack[k], 45.0))
 
 
 class TestPgm:
