@@ -172,6 +172,10 @@ def save_descriptors(path: str | Path, dset: DescriptorSet) -> None:
     dim = dset.dim
     records = np.empty(len(dset.meta), dtype=_record_dtype(dim))
     for i, m in enumerate(dset.meta):
+        if not 0 <= m.rotation_index < ROTATION_COUNT:
+            raise ValueError(
+                f"record {i}: rotation index {m.rotation_index} not in 0..{ROTATION_COUNT - 1}"
+            )
         records[i] = (m.patch_id, m.x, m.y, m.w, m.h, m.rotation_index, m.objectness, 0.0)
     records["values"] = dset.values.astype("<f4")
     header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dim, len(dset.meta))

@@ -1,7 +1,8 @@
 """Persisted linear-scan retrieval index scored by inner product.
 
 Entries are held in image-id order, so query results never depend on
-insertion order, and the KIDX serialization is canonical.
+insertion order, and the KIDX serialization is canonical. Rows are held
+as f32, as KIDX stores them, and scored in float64 a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -54,17 +55,24 @@ class Index:
         return self._matrix[self._row_of[image_id]].astype(np.float64)
 
 
+def _assemble(rows: dict[str, np.ndarray], dim: int) -> Index:
+    """Copy float32 rows into one matrix, in ascending id order."""
+    ids = sorted(rows)
+    matrix = np.empty((len(ids), dim if ids else 0), dtype=np.float32)
+    for row, image_id in enumerate(ids):
+        matrix[row] = rows[image_id]
+    return Index(ids, matrix)
+
+
 def build(entries: list[IndexEntry]) -> Index:
     """Build an index; duplicate ids and dim mismatches name the offender."""
-    ids: list[str] = []
-    vectors: list[np.ndarray] = []
-    seen: set[str] = set()
+    rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     for entry in entries:
         values = np.asarray(entry.values, dtype=np.float32)
         if values.ndim != 1:
             raise ValueError(f"entry {entry.image_id!r}: vector must be 1-D")
-        if entry.image_id in seen:
+        if entry.image_id in rows:
             raise ValueError(f"duplicate image id {entry.image_id!r}")
         if dim is None:
             dim = values.shape[0]
@@ -72,17 +80,8 @@ def build(entries: list[IndexEntry]) -> Index:
             raise ValueError(
                 f"entry {entry.image_id!r}: dim {values.shape[0]} != index dim {dim}"
             )
-        seen.add(entry.image_id)
-        ids.append(entry.image_id)
-        vectors.append(values)
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    sorted_ids = [ids[i] for i in order]
-    matrix = (
-        np.stack([vectors[i] for i in order])
-        if vectors
-        else np.zeros((0, 0), dtype=np.float32)
-    )
-    return Index(sorted_ids, matrix)
+        rows[entry.image_id] = values
+    return _assemble(rows, dim or 0)
 
 
 def search(index: Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -94,10 +93,27 @@ def search(index: Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     query = np.asarray(query, dtype=np.float64).ravel()
     if query.shape[0] != index.dim:
         raise ValueError(f"query dim {query.shape[0]} != index dim {index.dim}")
-    scores = index._matrix.astype(np.float64) @ query
+    scores = _scores(index._matrix, query)
     # Rows are in ascending id order, so a stable sort breaks ties by id.
     order = np.argsort(-scores, kind="stable")[:k]
     return [(index._ids[i], float(scores[i])) for i in order]
+
+
+def _scores(matrix: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """float64 inner products of every f32 row with `query`, block by block."""
+    # Eight rows are widened at a time into a float64 block that stays in
+    # cache, so a query reads the f32 matrix once and never copies it whole.
+    # Every BLAS call gets a full block (the tail is zero-padded), so every
+    # row takes the same kernel path: a row's score does not depend on where
+    # it sits, and identical rows tie exactly.
+    scores = np.empty(len(matrix))
+    block = np.empty((8, matrix.shape[1]))
+    for start in range(0, len(matrix), len(block)):
+        rows = matrix[start : start + len(block)]
+        block[: len(rows)] = rows
+        block[len(rows) :] = 0.0
+        scores[start : start + len(rows)] = (block @ query)[: len(rows)]
+    return scores
 
 
 _KIDX_HEADER = struct.Struct("<4sIII")
@@ -126,7 +142,7 @@ def load(path: str | Path) -> Index:
     if version != KIDX_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
     offset = _KIDX_HEADER.size
-    entries: dict[str, IndexEntry] = {}
+    rows: dict[str, np.ndarray] = {}
     for _ in range(count):
         start = offset
         if offset + 4 > len(data):
@@ -139,12 +155,11 @@ def load(path: str | Path) -> Index:
             image_id = data[offset : offset + id_len].decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError(f"{path}: image id is not UTF-8 at byte offset {offset}") from None
-        if image_id in entries:
+        if image_id in rows:
             raise FormatError(f"{path}: duplicate image id {image_id!r} at byte offset {start}")
         offset += id_len
-        values = np.frombuffer(data, dtype="<f4", count=dim, offset=offset).copy()
+        rows[image_id] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         offset += 4 * dim
-        entries[image_id] = IndexEntry(image_id=image_id, values=values)
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
-    return build(list(entries.values()))
+    return _assemble(rows, dim)

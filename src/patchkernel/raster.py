@@ -103,18 +103,6 @@ def rotate_center_crop(img: Image, theta: float) -> Image:
     return Image(_rotate_crop_array(img.pixels, theta))
 
 
-def crop(img: Image, x: int, y: int, w: int, h: int) -> Image:
-    """Extract the exact w x h sub-raster whose top-left corner is (x, y)."""
-    if w < _MIN_RASTER_SIDE or h < _MIN_RASTER_SIDE:
-        raise ValueError(f"crop size {w}x{h} below minimum {_MIN_RASTER_SIDE}")
-    if x < 0 or y < 0 or x + w > img.width or y + h > img.height:
-        raise ValueError(
-            f"crop rectangle (x={x}, y={y}, w={w}, h={h}) exceeds "
-            f"{img.width}x{img.height} image"
-        )
-    return Image(img.pixels[y : y + h, x : x + w])
-
-
 def rotation_crop_side(height: int, width: int) -> int:
     """Side of the inscribed-square crop used by rotate_center_crop."""
     side = int(min(height, width) / math.sqrt(2.0))

@@ -1,5 +1,6 @@
 """Descriptor embedder, cosine, sum pooling, and KDESC container tests."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -221,6 +222,16 @@ class TestKdesc:
         path.write_bytes(header + good + bad)
         with pytest.raises(FormatError, match="rotation index 9 .* byte offset 77"):
             load_descriptors(path)
+
+    @pytest.mark.parametrize("rotation_index", [8, 256, -1])
+    def test_save_rejects_rotation_index_out_of_range(self, tmp_path, rotation_index):
+        rng = np.random.default_rng(30)
+        dset = make_set(rng)
+        dset.meta[3] = dataclasses.replace(dset.meta[3], rotation_index=rotation_index)
+        path = tmp_path / "rot.kdesc"
+        with pytest.raises(ValueError, match=f"record 3: rotation index {rotation_index} not in 0..7"):
+            save_descriptors(path, dset)
+        assert not path.exists()
 
     def test_truncation_names_offset(self, tmp_path):
         rng = np.random.default_rng(29)

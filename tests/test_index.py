@@ -1,6 +1,7 @@
 """Linear-scan index build/search/persistence tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,17 @@ class TestSearch:
         )
         assert [r[0] for r in search(idx, v, 3)] == ["apple", "mango", "zebra"]
 
+    @pytest.mark.parametrize("count, dim", [(7, 16), (13, 1000), (100, 16384)])
+    def test_identical_rows_tie_exactly_at_every_position(self, count, dim):
+        # A whole-matrix BLAS call scores leftover rows (past the last full
+        # group of its kernel) in another summation order than the rest.
+        rng = np.random.default_rng(88)
+        row = unit_rows(rng, 1, dim)[0]
+        idx = build([IndexEntry(image_id=f"img{i:03d}", values=row) for i in range(count)])
+        got = search(idx, unit_rows(rng, 1, dim)[0], count)
+        assert len({score for _, score in got}) == 1
+        assert [image_id for image_id, _ in got] == [f"img{i:03d}" for i in range(count)]
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(73)
         entries = make_entries(rng, count=50, dim=8)
@@ -121,6 +133,44 @@ class TestSearch:
         with pytest.raises(ValueError, match="k"):
             search(idx, np.zeros(6), 0)
 
+    def test_scores_are_f32_rounded_rows_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(83)
+        rows = unit_rows(rng, 40, 16)
+        entries = [IndexEntry(image_id=f"img{i:03d}", values=rows[i]) for i in range(40)]
+        idx = build(entries)
+        save(tmp_path / "index.kidx", idx)
+        query = unit_rows(rng, 1, 16)[0]
+        expected = rows.astype(np.float32).astype(np.float64) @ query
+        order = np.argsort(-expected, kind="stable")
+        for index in (idx, load(tmp_path / "index.kidx")):
+            got = search(index, query, len(index))
+            assert [g[0] for g in got] == [f"img{i:03d}" for i in order]
+            assert np.array_equal([g[1] for g in got], expected[order])
+
+    def test_changing_a_returned_vector_leaves_the_index_alone(self):
+        rng = np.random.default_rng(84)
+        idx = build(make_entries(rng, count=10))
+        query = idx.vector("img003")
+        before = search(idx, query, 10)
+        idx.vector("img003")[:] = -1.0
+        idx.vector("img007")[:] = 2.0
+        assert search(idx, query, 10) == before
+
+    def test_search_does_not_copy_the_matrix(self):
+        # A per-query float64 copy of the rows would allocate the whole
+        # matrix again; scoring needs only the N scores and one row block.
+        rng = np.random.default_rng(85)
+        count, dim = 1000, 256
+        idx = build(make_entries(rng, count=count, dim=dim))
+        query = unit_rows(rng, 1, dim)[0]
+        tracemalloc.start()
+        try:
+            search(idx, query, 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < count * dim * 8 // 4
+
 
 class TestPersistence:
     def test_roundtrip_preserves_results(self, tmp_path):
@@ -140,6 +190,18 @@ class TestPersistence:
         save(tmp_path / "a.kidx", idx)
         save(tmp_path / "b.kidx", load(tmp_path / "a.kidx"))
         assert (tmp_path / "a.kidx").read_bytes() == (tmp_path / "b.kidx").read_bytes()
+
+    def test_save_writes_f32_rounded_rows(self, tmp_path):
+        rng = np.random.default_rng(86)
+        entries = make_entries(rng, count=7)
+        save(tmp_path / "a.kidx", build(entries))
+        expected = struct.pack("<4sIII", b"KIDX", 1, 6, 7) + b"".join(
+            struct.pack("<I", 6) + e.image_id.encode() + np.asarray(e.values, dtype="<f4").tobytes()
+            for e in entries
+        )
+        assert (tmp_path / "a.kidx").read_bytes() == expected
+        save(tmp_path / "b.kidx", load(tmp_path / "a.kidx"))
+        assert (tmp_path / "b.kidx").read_bytes() == expected
 
     def test_vector_lookup(self, tmp_path):
         rng = np.random.default_rng(80)

@@ -7,7 +7,6 @@ from patchkernel.errors import FormatError
 from patchkernel.raster import (
     Image,
     _rotate_crop_array,
-    crop,
     read_pgm,
     resize_bilinear,
     rotate_center_crop,
@@ -147,27 +146,6 @@ class TestRotate:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             rotate_center_crop(ramp8(), 360.0)
-
-
-class TestCrop:
-    def test_full_frame_is_identity(self):
-        img = random_image(np.random.default_rng(3))
-        out = crop(img, 0, 0, img.width, img.height)
-        assert np.array_equal(out.pixels, img.pixels)
-
-    def test_constant_crop(self):
-        img = Image(np.full((10, 10), 0.3))
-        assert np.array_equal(crop(img, 1, 2, 5, 6).pixels, np.full((6, 5), 0.3))
-
-    def test_sub_ramp_index_arithmetic(self):
-        out = crop(ramp8(), 2, 2, 4, 4)
-        expected = np.tile(np.array([2, 3, 4, 5]) / 8.0, (4, 1))
-        assert np.array_equal(out.pixels, expected)
-
-    @pytest.mark.parametrize("rect", [(-1, 0, 4, 4), (5, 5, 4, 4), (0, 0, 9, 4), (0, 0, 4, 3)])
-    def test_bad_rectangles(self, rect):
-        with pytest.raises(ValueError):
-            crop(ramp8(), *rect)
 
 
 class TestInvariants:
