@@ -143,24 +143,25 @@ def _kmeanspp_centers(data: np.ndarray, count: int, rng: np.random.Generator) ->
     return centers
 
 
-def _log_gaussians(data: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """(n, V) log-densities of diagonal Gaussians, evaluated via matmuls."""
-    # Degenerate variances produce non-finite values here; callers convert
-    # those into explicit training errors, so suppress the warnings.
+def _e_step(model: GMMModel, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Responsibilities (n, V) and per-row log-likelihoods (n, 1) of the
+    statistics [x, x^2], from one product against [mu/var, -1/(2 var)]."""
+    # Degenerate variances make these non-finite; gmm_train and FisherVector
+    # turn that into errors, so suppress the warnings.
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv_var = 1.0 / variances
-        const = -0.5 * (
-            means.shape[1] * np.log(2.0 * np.pi)
-            + np.sum(np.log(variances), axis=1)
-            + np.sum(means**2 * inv_var, axis=1)
+        inv_var = 1.0 / model.variances
+        const = np.log(model.weights) - 0.5 * (
+            model.dim * np.log(2.0 * np.pi)
+            + np.sum(np.log(model.variances), axis=1)
+            + np.sum(model.means**2 * inv_var, axis=1)
         )
-        quad = -0.5 * (data**2) @ inv_var.T + data @ (means * inv_var).T
-        return const[None, :] + quad
-
-
-def _logsumexp(rows: np.ndarray) -> np.ndarray:
-    peak = rows.max(axis=1)
-    return peak + np.log(np.sum(np.exp(rows - peak[:, None]), axis=1))
+        joint = stats @ np.hstack([model.means * inv_var, -0.5 * inv_var]).T
+        joint += const
+        peak = joint.max(axis=1, keepdims=True)
+        joint -= peak
+        np.exp(joint, out=joint)
+        total = joint.sum(axis=1, keepdims=True)
+        return np.divide(joint, total, out=joint), peak + np.log(total)
 
 
 def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
@@ -206,22 +207,8 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
     history: list[float] = []
     prev_ll = -np.inf
     for iteration in range(EM_MAX_ITER):
-        # Degenerate variances make these non-finite; the log-likelihood
-        # check below turns that into a training error.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inv_var = 1.0 / variances
-            const = np.log(weights) - 0.5 * (
-                dim * np.log(2.0 * np.pi)
-                + np.sum(np.log(variances), axis=1)
-                + np.sum(means**2 * inv_var, axis=1)
-            )
-            joint = stats @ np.hstack([means * inv_var, -0.5 * inv_var]).T
-            joint += const
-            peak = joint.max(axis=1, keepdims=True)
-            joint -= peak
-            np.exp(joint, out=joint)
-            total = joint.sum(axis=1, keepdims=True)
-            avg_ll = float(np.mean(peak + np.log(total)))
+        resp, log_lik = _e_step(GMMModel(weights, means, variances), stats)
+        avg_ll = float(np.mean(log_lik))
         if not np.isfinite(avg_ll):
             raise TrainingError(f"non-finite log-likelihood at iteration {iteration}")
         history.append(avg_ll)
@@ -229,7 +216,6 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
             break
         prev_ll = avg_ll
 
-        resp = np.divide(joint, total, out=joint)
         mass = resp.sum(axis=0)
         moments = resp.T @ stats
         occupied = mass > 1e-10
@@ -251,13 +237,6 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
     )
 
 
-def posteriors(model: GMMModel, data: np.ndarray) -> np.ndarray:
-    """(n, V) soft assignments q_k(x); rows sum to 1 for any finite input."""
-    data = np.atleast_2d(np.asarray(data, dtype=np.float64))
-    log_joint = _log_gaussians(data, model.means, model.variances) + np.log(model.weights)
-    return np.exp(log_joint - _logsumexp(log_joint)[:, None])
-
-
 def fv_contribution(model: GMMModel, x: np.ndarray) -> np.ndarray:
     """Per-descriptor Fisher score phi(x), unnormalized, length 2*D*V.
 
@@ -268,7 +247,7 @@ def fv_contribution(model: GMMModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.dim,):
         raise ValueError(f"expected a vector of length {model.dim}, got shape {x.shape}")
-    q = posteriors(model, x)[0]
+    q = _e_step(model, np.concatenate([x, x**2])[None, :])[0][0]
     sigma = np.sqrt(model.variances)
     z = (x[None, :] - model.means) / sigma
     mean_block = (q / np.sqrt(model.weights))[:, None] * z
@@ -290,10 +269,11 @@ def aggregate(model: GMMModel, xs: np.ndarray, normalization: str = "improved") 
     if xs.shape[1] != model.dim:
         raise ValueError(f"descriptor dim {xs.shape[1]} != model dim {model.dim}")
 
-    q = posteriors(model, xs)  # (n, V)
+    stats = np.hstack([xs, xs**2])
+    q, _ = _e_step(model, stats)
     s0 = q.sum(axis=0)
-    s1 = q.T @ xs
-    s2 = q.T @ (xs**2)
+    moments = q.T @ stats
+    s1, s2 = moments[:, : model.dim], moments[:, model.dim :]
     sigma = np.sqrt(model.variances)
     mean_block = (s1 - model.means * s0[:, None]) / sigma / np.sqrt(model.weights)[:, None]
     var_block = (
@@ -346,7 +326,13 @@ def save_model(path: str | Path, pca: PCAModel, gmm: GMMModel) -> None:
 
 
 def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
-    """Read a KMDL file back; bit-exact inverse of save_model."""
+    """Read a KMDL file back; bit-exact inverse of save_model.
+
+    Refuses, with the byte offset, what save_model cannot write: a zero
+    dimension or component count, an output dim above the input dim, a
+    whitened byte other than 0/1, a non-finite value, or a weight or
+    variance <= 0.
+    """
     path = Path(path)
     data = path.read_bytes()
     if len(data) < _KMDL_HEADER.size:
@@ -356,16 +342,38 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
         raise FormatError(f"{path}: bad magic at byte offset 0")
     if version != KMDL_VERSION:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    counts = (input_dim, out_dim * input_dim, comp, comp * out_dim, comp * out_dim)
-    expected = _KMDL_HEADER.size + 8 * sum(counts)
+    for offset, name, value in ((8, "input dim", input_dim), (12, "output dim", out_dim),
+                                (16, "component count", comp)):
+        if value == 0:
+            raise FormatError(f"{path}: {name} is 0 at byte offset {offset}")
+    if out_dim > input_dim:
+        raise FormatError(f"{path}: output dim {out_dim} > input dim {input_dim} at byte offset 12")
+    if whit > 1:
+        raise FormatError(f"{path}: whitened flag {whit} is not 0 or 1 at byte offset 20")
+    fields = (  # name, value count, must be > 0
+        ("PCA mean", input_dim, False),
+        ("PCA basis", out_dim * input_dim, False),
+        ("GMM weight", comp, True),
+        ("GMM mean", comp * out_dim, False),
+        ("GMM variance", comp * out_dim, True),
+    )
+    expected = _KMDL_HEADER.size + 8 * sum(cnt for _, cnt, _ in fields)
     if len(data) != expected:
         raise FormatError(
             f"{path}: expected {expected} bytes, failed at byte offset {min(len(data), expected)}"
         )
     offset = _KMDL_HEADER.size
     parts = []
-    for cnt in counts:
-        parts.append(np.frombuffer(data, dtype="<f8", count=cnt, offset=offset).astype(np.float64))
+    for name, cnt, positive in fields:
+        part = np.frombuffer(data, dtype="<f8", count=cnt, offset=offset).astype(np.float64)
+        bad = ~np.isfinite(part) | (positive & (part <= 0.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            rule = "finite and > 0" if positive else "finite"
+            raise FormatError(
+                f"{path}: {name} {float(part[i])} is not {rule} at byte offset {offset + 8 * i}"
+            )
+        parts.append(part)
         offset += 8 * cnt
     mean, basis, weights, means, variances = parts
     pca = PCAModel(

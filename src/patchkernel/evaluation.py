@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .embed import cosine, embed_image_global
+from .errors import FormatError
 from .raster import Image, rotate_center_crop, scale_same_size, translate_circular
 
 LABELS = ("rel", "nonrel", "junk")
@@ -144,7 +145,11 @@ def write_curve_csv(path: str | Path, curve: SensitivityCurve) -> None:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)."""
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
+    lines = text.strip().splitlines()
     relevance: dict[str, dict[str, str]] = {}
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 and line == "query_id,image_id,label":

@@ -1,5 +1,7 @@
 """PCA, EM, Fisher-score aggregation, and kernel-identity tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,8 @@ from patchkernel.encode import (
     EM_MAX_ITER,
     EM_MAX_SAMPLES,
     GMMModel,
-    _log_gaussians,
-    _logsumexp,
     PCAModel,
+    _e_step,
     aggregate,
     fv_contribution,
     gmm_train,
@@ -17,7 +18,6 @@ from patchkernel.encode import (
     match_kernel_bruteforce,
     pca_project,
     pca_train,
-    posteriors,
     save_model,
 )
 from patchkernel.errors import FormatError, TrainingError
@@ -210,26 +210,48 @@ class TestGmmTrain:
         data = centers[rng.integers(4, size=2000)] + rng.normal(size=(2000, 5))
         model = gmm_train(data, 4, seed=2)
         assert len(model.log_likelihoods) < EM_MAX_ITER  # stopped on tolerance
-        joint = _log_gaussians(data, model.means, model.variances) + np.log(model.weights)
-        reference = float(np.mean(_logsumexp(joint)))
+        reference = float(np.mean([log_density(model, x) for x in data]))
         assert model.log_likelihoods[-1] == pytest.approx(reference, rel=1e-12)
 
 
-class TestPosteriors:
+def e_step(model: GMMModel, data: np.ndarray):
+    return _e_step(model, np.hstack([data, data**2]))
+
+
+class TestEStep:
     def test_simplex(self):
         rng = np.random.default_rng(43)
         model = random_gmm(rng, 3, 4)
         points = rng.normal(scale=4.0, size=(50, 3))
-        q = posteriors(model, points)
+        q, _ = e_step(model, points)
         assert np.all(q >= 0.0) and np.all(q <= 1.0)
         np.testing.assert_allclose(q.sum(axis=1), 1.0, atol=1e-9)
 
     def test_far_point_does_not_underflow(self):
         rng = np.random.default_rng(44)
         model = random_gmm(rng, 2, 3)
-        q = posteriors(model, np.array([1e6, -1e6]))
+        q, log_lik = e_step(model, np.array([[1e6, -1e6]]))
         np.testing.assert_allclose(q.sum(), 1.0, atol=1e-9)
-        assert np.all(np.isfinite(q))
+        assert np.all(np.isfinite(q)) and np.all(np.isfinite(log_lik))
+
+    def test_matches_log_density_oracle(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            dim = int(rng.integers(1, 7))
+            model = random_gmm(rng, dim, int(rng.integers(1, 6)))
+            points = rng.normal(scale=2.0, size=(int(rng.integers(1, 20)), dim))
+            q, log_lik = e_step(model, points)
+            assert q.shape == (len(points), model.components)
+            for row, x in enumerate(points):
+                total = log_density(model, x)
+                # a one-component model of weight w_k has density w_k N_k(x)
+                joint = [
+                    log_density(GMMModel(model.weights[[k]], model.means[[k]],
+                                         model.variances[[k]]), x)
+                    for k in range(model.components)
+                ]
+                np.testing.assert_allclose(q[row], np.exp(np.array(joint) - total), rtol=1e-12)
+                assert log_lik[row, 0] == pytest.approx(total, rel=1e-12)
 
 
 class TestFvContribution:
@@ -406,3 +428,69 @@ class TestModelFile:
         (tmp_path / "cut.kmdl").write_bytes(path.read_bytes()[:-9])
         with pytest.raises(FormatError, match="byte offset"):
             load_model(tmp_path / "cut.kmdl")
+
+    @pytest.mark.parametrize(
+        "dims, whitened, patch, offset",
+        [
+            ((0, 0, 1), 0, None, 8),
+            ((2, 0, 1), 0, None, 12),
+            ((2, 1, 0), 0, None, 16),
+            ((1, 2, 1), 0, None, 12),
+            ((2, 1, 1), 7, None, 20),
+            ((2, 1, 1), 0, (0, np.nan), 21),
+            ((2, 1, 1), 0, (3, np.inf), 45),
+            ((2, 1, 1), 0, (4, 0.0), 53),
+            ((2, 1, 1), 0, (5, -np.inf), 61),
+            ((2, 1, 1), 0, (6, -1.0), 69),
+            ((2, 1, 1), 0, (6, np.nan), 69),
+        ],
+        ids=[
+            "zero-input-dim", "zero-output-dim", "zero-components", "output-above-input",
+            "whitened-7", "nan-pca-mean", "inf-pca-basis", "zero-weight", "inf-gmm-mean",
+            "negative-variance", "nan-variance",
+        ],
+    )
+    def test_refuses_what_save_model_cannot_write(self, tmp_path, dims, whitened, patch, offset):
+        input_dim, out_dim, comp = dims
+        values = np.ones(input_dim + out_dim * input_dim + comp + 2 * comp * out_dim)
+        if patch is not None:
+            values[patch[0]] = patch[1]
+        path = tmp_path / "bad.kmdl"
+        header = struct.pack("<4sIIIIB", b"KMDL", 1, input_dim, out_dim, comp, whitened)
+        path.write_bytes(header + values.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match=f"at byte offset {offset}$"):
+            load_model(path)
+
+    def test_fuzz_truncation_and_ff_bytes(self, tmp_path):
+        pca = PCAModel(
+            mean=np.array([0.5, -1.0, 2.0, 0.25]),
+            basis=np.array([[0.5, 0.5, -0.5, 0.5], [1.0, 0.0, 0.0, 0.0]]),
+        )
+        gmm = GMMModel(
+            weights=np.array([0.25, 0.75]),
+            means=np.array([[0.0, 1.0], [-2.0, 3.0]]),
+            variances=np.array([[0.5, 1.5], [2.0, 0.125]]),
+        )
+        good = tmp_path / "good.kmdl"
+        save_model(good, pca, gmm)
+        data = good.read_bytes()
+        assert len(data) == 197
+        path = tmp_path / "fuzz.kmdl"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="byte offset"):
+                load_model(path)
+        for at in range(len(data)):
+            mutated = data[:at] + b"\xff" + data[at + 1 :]
+            path.write_bytes(mutated)
+            try:
+                pca2, gmm2 = load_model(path)
+            except FormatError as exc:
+                assert "byte offset" in str(exc)
+                continue
+            assert min(pca2.input_dim, pca2.out_dim, gmm2.components) >= 1
+            for part in (pca2.mean, pca2.basis, gmm2.weights, gmm2.means, gmm2.variances):
+                assert np.all(np.isfinite(part))
+            assert np.all(gmm2.weights > 0) and np.all(gmm2.variances > 0)
+            save_model(tmp_path / "again.kmdl", pca2, gmm2)
+            assert (tmp_path / "again.kmdl").read_bytes() == mutated, at

@@ -1,8 +1,11 @@
 """Retrieval metric and sensitivity-harness tests."""
 
+import re
+
 import numpy as np
 import pytest
 
+from patchkernel.errors import FormatError
 from patchkernel.evaluation import (
     GroundTruth,
     SensitivityCurve,
@@ -232,6 +235,13 @@ class TestCsv:
         path = tmp_path / "gt.csv"
         path.write_text("query_id,image_id,label\nq,a,great\n")
         with pytest.raises(ValueError, match="label"):
+            load_ground_truth(path)
+
+    def test_ground_truth_not_utf8_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b"query_id,image_id,label\nq\xff,a,rel\n")
+        message = f"^{re.escape(str(path))}: not UTF-8 at byte offset 25$"
+        with pytest.raises(FormatError, match=message):
             load_ground_truth(path)
 
     def test_metric_report_format(self, tmp_path):
