@@ -55,8 +55,8 @@ def embed_patches(rasters: np.ndarray) -> np.ndarray:
     bin_pos = orient / (2.0 * np.pi / ORIENT_BINS)
     low = np.floor(bin_pos)
     frac = bin_pos - low
-    low_bin = low.astype(np.int64) % ORIENT_BINS
-    high_bin = (low_bin + 1) % ORIENT_BINS
+    low_bin = low.astype(np.int64) & (ORIENT_BINS - 1)  # == % ORIENT_BINS, a power of two
+    high_bin = (low_bin + 1) & (ORIENT_BINS - 1)
 
     base = (
         np.arange(n, dtype=np.int64)[:, None, None] * DESCRIPTOR_DIM + _CELL_OFFSET
@@ -201,32 +201,47 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
         raise FormatError(f"{path}: zero descriptor dimension at byte offset 8")
     if count == 0:
         raise FormatError(f"{path}: empty descriptor file (count=0 at byte offset 12)")
-    dtype = _record_dtype(dim)
-    expected = _KDESC_HEADER.size + count * dtype.itemsize
+    # Sized in Python ints first: a huge dim in a short file must not reach
+    # the record dtype, whose shape has to fit a C int.
+    meta_size = _record_dtype(0).itemsize
+    expected = _KDESC_HEADER.size + count * (meta_size + 4 * dim)
     if len(data) != expected:
         offset = min(len(data), expected)
         raise FormatError(
             f"{path}: expected {expected} bytes for {count} records, "
             f"failed at byte offset {offset}"
         )
+    dtype = _record_dtype(dim)
     records = np.frombuffer(data, dtype=dtype, count=count, offset=_KDESC_HEADER.size)
+
+    def record_offset(idx: int, name: str) -> int:
+        return _KDESC_HEADER.size + idx * dtype.itemsize + dtype.fields[name][1]
+
     rotation = records["rotation_index"]
     if np.any(rotation >= ROTATION_COUNT):
         idx = int(np.argmax(rotation >= ROTATION_COUNT))
-        offset = _KDESC_HEADER.size + idx * dtype.itemsize + dtype.fields["rotation_index"][1]
         raise FormatError(
-            f"{path}: rotation index {rotation[idx]} >= {ROTATION_COUNT} at byte offset {offset}"
+            f"{path}: rotation index {rotation[idx]} >= {ROTATION_COUNT} "
+            f"at byte offset {record_offset(idx, 'rotation_index')}"
+        )
+    finite_objectness = np.isfinite(records["objectness"])
+    if not finite_objectness.all():
+        idx = int(np.argmin(finite_objectness))
+        raise FormatError(
+            f"{path}: non-finite objectness at byte offset {record_offset(idx, 'objectness')}"
         )
 
-    values = records["values"].astype(np.float64)
-    finite = np.isfinite(values).all(axis=1)
+    finite = np.isfinite(records["values"]).all(axis=1)
+    with np.errstate(invalid="ignore"):  # a signalling NaN row is refused below
+        values = records["values"].astype(np.float64)
     norms = np.linalg.norm(values, axis=1)
     bad = ~finite | (norms == 0.0)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        offset = _KDESC_HEADER.size + idx * dtype.itemsize + (dtype.itemsize - 4 * dim)
         kind = "non-finite" if not finite[idx] else "zero-norm"
-        raise FormatError(f"{path}: {kind} descriptor values at byte offset {offset}")
+        raise FormatError(
+            f"{path}: {kind} descriptor values at byte offset {record_offset(idx, 'values')}"
+        )
     # Rows already unit within the descriptor invariant are kept verbatim so
     # export -> import -> export is byte-stable; anything else is rescaled.
     off_unit = np.abs(norms - 1.0) > 1e-6

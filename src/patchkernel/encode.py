@@ -26,6 +26,11 @@ EM_MAX_ITER = 100
 EM_MAX_SAMPLES = 16_384
 EM_REL_TOL = 1e-6
 VARIANCE_FLOOR_FACTOR = 1e-4
+# E-step log-joints more than 700 nats below the row's best give a
+# responsibility of exactly 0. Their exp would underflow (below -745) or be
+# subnormal, both slow FPU paths, and the at most V e^-700 they drop cannot
+# change a row total, which is >= 1.
+_LOG_RESP_CUT = -700.0
 
 NORMALIZATION_POLICIES = ("improved", "raw")
 
@@ -145,7 +150,12 @@ def _kmeanspp_centers(data: np.ndarray, count: int, rng: np.random.Generator) ->
 
 def _e_step(model: GMMModel, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Responsibilities (n, V) and per-row log-likelihoods (n, 1) of the
-    statistics [x, x^2], from one product against [mu/var, -1/(2 var)]."""
+    statistics [x, x^2], from one product against [mu/var, -1/(2 var)].
+
+    A component more than 700 nats behind the row's best one gets a
+    responsibility of exactly 0, so none is subnormal; the row totals and
+    log-likelihoods are those of the unclamped sum.
+    """
     # Degenerate variances make these non-finite; gmm_train and FisherVector
     # turn that into errors, so suppress the warnings.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -159,7 +169,10 @@ def _e_step(model: GMMModel, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         joint += const
         peak = joint.max(axis=1, keepdims=True)
         joint -= peak
+        far = joint < _LOG_RESP_CUT
+        np.maximum(joint, _LOG_RESP_CUT, out=joint)
         np.exp(joint, out=joint)
+        joint[far] = 0.0
         total = joint.sum(axis=1, keepdims=True)
         return np.divide(joint, total, out=joint), peak + np.log(total)
 
@@ -328,10 +341,11 @@ def save_model(path: str | Path, pca: PCAModel, gmm: GMMModel) -> None:
 def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     """Read a KMDL file back; bit-exact inverse of save_model.
 
-    Refuses, with the byte offset, what save_model cannot write: a zero
+    Refuses, with the byte offset, what no trained codebook holds: a zero
     dimension or component count, an output dim above the input dim, a
-    whitened byte other than 0/1, a non-finite value, or a weight or
-    variance <= 0.
+    whitened byte other than 0/1, a value that is not finite or exceeds
+    1e30 in magnitude, or a weight or variance below 1e-30. Within those
+    bounds projecting and aggregating unit descriptors cannot overflow.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -350,7 +364,7 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
         raise FormatError(f"{path}: output dim {out_dim} > input dim {input_dim} at byte offset 12")
     if whit > 1:
         raise FormatError(f"{path}: whitened flag {whit} is not 0 or 1 at byte offset 20")
-    fields = (  # name, value count, must be > 0
+    fields = (  # name, value count, must be >= 1e-30
         ("PCA mean", input_dim, False),
         ("PCA basis", out_dim * input_dim, False),
         ("GMM weight", comp, True),
@@ -366,10 +380,10 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     parts = []
     for name, cnt, positive in fields:
         part = np.frombuffer(data, dtype="<f8", count=cnt, offset=offset).astype(np.float64)
-        bad = ~np.isfinite(part) | (positive & (part <= 0.0))
+        bad = ~(np.abs(part) <= 1e30) | (positive & ~(part >= 1e-30))
         if bad.any():
             i = int(np.argmax(bad))
-            rule = "finite and > 0" if positive else "finite"
+            rule = "in [1e-30, 1e30]" if positive else "in [-1e30, 1e30]"
             raise FormatError(
                 f"{path}: {name} {float(part[i])} is not {rule} at byte offset {offset + 8 * i}"
             )

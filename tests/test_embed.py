@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -222,6 +223,78 @@ class TestKdesc:
         path.write_bytes(header + good + bad)
         with pytest.raises(FormatError, match="rotation index 9 .* byte offset 77"):
             load_descriptors(path)
+
+    def test_huge_dim_in_short_file_names_offset(self, tmp_path):
+        path = tmp_path / "dim.kdesc"
+        header = struct.pack("<4sIII", b"KDSC", 1, 0xFF000004, 1)
+        record = struct.pack("<IIIIIBf", 0, 0, 0, 16, 16, 0, 0.0)
+        path.write_bytes(header + record + np.ones(4, dtype="<f4").tobytes())
+        with pytest.raises(FormatError, match="byte offset 57$"):
+            load_descriptors(path)
+
+    def test_signalling_nan_value_names_offset_without_warning(self, tmp_path):
+        path = tmp_path / "snan.kdesc"
+        header = struct.pack("<4sIII", b"KDSC", 1, 4, 1)
+        record = struct.pack("<IIIIIBf", 0, 0, 0, 16, 16, 0, 0.0)
+        values = np.array([0x7F800001, 0, 0, 0], dtype="<u4").tobytes()
+        path.write_bytes(header + record + values)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="non-finite .* byte offset 41$"):
+                load_descriptors(path)
+
+    @pytest.mark.parametrize("objectness", [np.nan, np.inf, -np.inf])
+    def test_non_finite_objectness_names_offset(self, tmp_path, objectness):
+        path = tmp_path / "obj.kdesc"
+        header = struct.pack("<4sIII", b"KDSC", 1, 4, 2)
+        values = np.array([0.6, 0.8, 0.0, 0.0], dtype="<f4").tobytes()
+        good = struct.pack("<IIIIIBf", 0, 0, 0, 16, 16, 0, 0.5) + values
+        bad = struct.pack("<IIIIIBf", 1, 0, 0, 16, 16, 0, objectness) + values
+        path.write_bytes(header + good + bad)
+        with pytest.raises(FormatError, match="non-finite objectness at byte offset 78$"):
+            load_descriptors(path)
+
+    def test_fuzz_truncation_and_ff_bytes(self, tmp_path):
+        good = tmp_path / "good.kdesc"
+        save_descriptors(good, make_set(np.random.default_rng(31), count=2, dim=4))
+        data = good.read_bytes()
+        assert len(data) == 98
+        path = tmp_path / "fuzz.kdesc"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="byte offset"):
+                load_descriptors(path)
+        dtype = np.dtype([("meta", "V25"), ("values", "<f4", (4,))])
+        for at in range(len(data)):
+            mutated = data[:at] + b"\xff" + data[at + 1 :]
+            path.write_bytes(mutated)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    dset = load_descriptors(path)
+            except FormatError as exc:
+                assert "byte offset" in str(exc)
+                continue
+            save_descriptors(tmp_path / "again.kdesc", dset)
+            again = (tmp_path / "again.kdesc").read_bytes()
+            if again == mutated:
+                continue
+            # Import rescales a row whose f32 norm is off unit by more than
+            # 1e-6; only such a row's values may differ, and only by that.
+            assert again[:16] == mutated[:16], at
+            old = np.frombuffer(mutated, dtype=dtype, offset=16)
+            new = np.frombuffer(again, dtype=dtype, offset=16)
+            assert np.array_equal(old["meta"], new["meta"]), at
+            norms = np.linalg.norm(old["values"].astype(np.float64), axis=1)
+            rescaled = np.abs(norms - 1.0) > 1e-6
+            assert rescaled.any(), at
+            assert np.array_equal(old["values"][~rescaled], new["values"][~rescaled]), at
+            np.testing.assert_allclose(
+                new["values"][rescaled], old["values"][rescaled] / norms[rescaled, None],
+                rtol=1e-6, atol=1e-7,
+            )
+            save_descriptors(tmp_path / "third.kdesc", load_descriptors(tmp_path / "again.kdesc"))
+            assert (tmp_path / "third.kdesc").read_bytes() == again, at
 
     @pytest.mark.parametrize("rotation_index", [8, 256, -1])
     def test_save_rejects_rotation_index_out_of_range(self, tmp_path, rotation_index):

@@ -1,6 +1,7 @@
 """PCA, EM, Fisher-score aggregation, and kernel-identity tests."""
 
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from patchkernel.encode import (
     GMMModel,
     PCAModel,
     _e_step,
+    _kmeanspp_centers,
     aggregate,
     fv_contribution,
     gmm_train,
@@ -254,6 +256,101 @@ class TestEStep:
                 assert log_lik[row, 0] == pytest.approx(total, rel=1e-12)
 
 
+TINY = np.finfo(np.float64).tiny  # smallest normal float64, 2.2e-308
+
+
+def two_far_clusters() -> np.ndarray:
+    """Two unit clusters 40 apart: a row at x of the left one sits
+    800 - 40 x nats behind the right component, so rows with x in
+    [1.4, 2.3] are 708-745 nats behind it (a subnormal responsibility)."""
+    rng = np.random.default_rng(63)
+    return np.concatenate([rng.normal(size=(300, 2)), rng.normal((40.0, 0.0), size=(300, 2))])
+
+
+FAR_MODEL = GMMModel(
+    weights=np.array([0.5, 0.5]),
+    means=np.array([[0.0, 0.0], [40.0, 0.0]]),
+    variances=np.ones((2, 2)),
+)
+
+
+def unclamped_e_step(model: GMMModel, stats: np.ndarray):
+    """The E-step without the cut: every exp is taken, subnormal or not.
+    Returns the responsibilities, the log-likelihoods and the log-joints
+    less each row's best."""
+    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+        inv_var = 1.0 / model.variances
+        const = np.log(model.weights) - 0.5 * (
+            model.dim * np.log(2.0 * np.pi)
+            + np.sum(np.log(model.variances), axis=1)
+            + np.sum(model.means**2 * inv_var, axis=1)
+        )
+        joint = stats @ np.hstack([model.means * inv_var, -0.5 * inv_var]).T
+        joint += const
+        peak = joint.max(axis=1, keepdims=True)
+        shifted = joint - peak
+        q = np.exp(shifted)
+        total = q.sum(axis=1, keepdims=True)
+        return q / total, peak + np.log(total), shifted
+
+
+class TestEStepCut:
+    """Responsibilities more than 700 nats behind a row's best are exactly 0."""
+
+    def test_no_subnormal_responsibility(self):
+        data = two_far_clusters()
+        ref, _, _ = unclamped_e_step(FAR_MODEL, np.hstack([data, data**2]))
+        assert np.any((ref > 0.0) & (ref < TINY))  # the fixture has some
+        q, _ = e_step(FAR_MODEL, data)
+        assert not np.any((q > 0.0) & (q < TINY))
+
+    def test_equals_unclamped_above_the_cut(self):
+        data = two_far_clusters()
+        ref, ref_ll, shifted = unclamped_e_step(FAR_MODEL, np.hstack([data, data**2]))
+        q, log_lik = e_step(FAR_MODEL, data)
+        kept = shifted >= -700.0
+        assert np.any(~kept & (ref > 0.0))  # the cut drops non-zero entries
+        assert np.array_equal(q[kept], ref[kept])
+        assert np.all(q[~kept] == 0.0)
+        assert np.array_equal(log_lik, ref_ll)
+
+    def test_no_underflow(self):
+        data = two_far_clusters()
+        with np.errstate(under="raise"):
+            e_step(FAR_MODEL, data)
+
+    def test_em_equals_unclamped_em(self):
+        data = two_far_clusters()
+        with np.errstate(under="raise"):
+            model = gmm_train(data, 2, seed=3)
+
+        # gmm_train's EM loop, step for step, with the unclamped E-step
+        rng = np.random.default_rng(3)
+        n, dim = data.shape
+        floor = 1e-4 * float(np.mean(np.var(data, axis=0)))
+        weights = np.full(2, 0.5)
+        means = _kmeanspp_centers(data, 2, rng)
+        variances = np.maximum(np.tile(np.var(data, axis=0), (2, 1)), floor)
+        stats = np.hstack([data, data**2])
+        history = []
+        for _ in range(EM_MAX_ITER):
+            resp, log_lik, _ = unclamped_e_step(GMMModel(weights, means, variances), stats)
+            history.append(float(np.mean(log_lik)))
+            if len(history) > 1 and history[-1] - history[-2] < 1e-6 * abs(history[-2]):
+                break
+            mass = resp.sum(axis=0)
+            moments = resp.T @ stats
+            means = moments[:, :dim] / mass[:, None]
+            variances = np.maximum(moments[:, dim:] / mass[:, None] - means**2, floor)
+            weights = np.maximum(mass / n, 1e-12)
+            weights /= weights.sum()
+
+        assert model.log_likelihoods == tuple(history)
+        assert np.array_equal(model.weights, weights)
+        assert np.array_equal(model.means, means)
+        assert np.array_equal(model.variances, variances)
+
+
 class TestFvContribution:
     def test_at_mode_of_single_component(self):
         model = GMMModel(
@@ -480,6 +577,8 @@ class TestModelFile:
             path.write_bytes(data[:cut])
             with pytest.raises(FormatError, match="byte offset"):
                 load_model(path)
+        xs = np.random.default_rng(62).normal(size=(20, 4))
+        xs /= np.linalg.norm(xs, axis=1, keepdims=True)
         for at in range(len(data)):
             mutated = data[:at] + b"\xff" + data[at + 1 :]
             path.write_bytes(mutated)
@@ -494,3 +593,22 @@ class TestModelFile:
             assert np.all(gmm2.weights > 0) and np.all(gmm2.variances > 0)
             save_model(tmp_path / "again.kmdl", pca2, gmm2)
             assert (tmp_path / "again.kmdl").read_bytes() == mutated, at
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fv = aggregate(gmm2, pca_project(pca2, xs))
+            assert np.all(np.isfinite(fv.values)), at
+
+    @pytest.mark.parametrize(
+        "patch, offset",
+        [((1, -5.5e303), 29), ((3, 2e30), 45), ((5, 1e31), 61), ((4, 1e-31), 53),
+         ((6, 1e-300), 69)],
+        ids=["huge-pca-mean", "huge-pca-basis", "huge-gmm-mean", "tiny-weight", "tiny-variance"],
+    )
+    def test_refuses_values_that_overflow_aggregate(self, tmp_path, patch, offset):
+        values = np.ones(7)
+        values[patch[0]] = patch[1]
+        path = tmp_path / "big.kmdl"
+        header = struct.pack("<4sIIIIB", b"KMDL", 1, 2, 1, 1, 0)
+        path.write_bytes(header + values.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match=f"at byte offset {offset}$"):
+            load_model(path)
