@@ -143,6 +143,7 @@ def load(path: str | Path) -> Index:
         raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
     offset = _KIDX_HEADER.size
     rows: dict[str, np.ndarray] = {}
+    value_offset: dict[str, int] = {}
     for _ in range(count):
         start = offset
         if offset + 4 > len(data):
@@ -159,7 +160,16 @@ def load(path: str | Path) -> Index:
             raise FormatError(f"{path}: duplicate image id {image_id!r} at byte offset {start}")
         offset += id_len
         rows[image_id] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
+        value_offset[image_id] = offset
         offset += 4 * dim
     if offset != len(data):
         raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
-    return _assemble(rows, dim)
+    index = _assemble(rows, dim)
+    # min and max propagate NaN and expose an infinity without a temporary
+    # the size of the matrix; only a file that fails them is searched.
+    matrix = index._matrix
+    if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
+        row, col = np.argwhere(~np.isfinite(matrix))[0]
+        at = value_offset[index._ids[row]] + 4 * int(col)
+        raise FormatError(f"{path}: non-finite value at byte offset {at}")
+    return index

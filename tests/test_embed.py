@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -46,6 +47,43 @@ def brute_force_histogram(raster: np.ndarray) -> np.ndarray:
     return hist / norm
 
 
+def unblocked_embedding(rasters: np.ndarray) -> np.ndarray:
+    """The embedder's arithmetic over the whole (n, P, P) stack at once."""
+    n = rasters.shape[0]
+    gy = np.gradient(rasters, axis=1)
+    gx = np.gradient(rasters, axis=2)
+    mag = np.hypot(gx, gy)
+    bin_pos = np.arctan2(gy, gx) / (2.0 * np.pi / ORIENT_BINS)
+    low = np.floor(bin_pos)
+    frac = bin_pos - low
+    low_bin = low.astype(np.int64) % ORIENT_BINS
+    high_bin = (low_bin + 1) % ORIENT_BINS
+    cell = np.arange(PATCH_SIDE) // (PATCH_SIDE // 4)
+    cell_offset = (cell[:, None] * 4 + cell[None, :]) * ORIENT_BINS
+    base = np.arange(n)[:, None, None] * DESCRIPTOR_DIM + cell_offset
+    hist = np.bincount(
+        (base + low_bin).ravel(), weights=(mag * (1.0 - frac)).ravel(),
+        minlength=n * DESCRIPTOR_DIM,
+    )
+    hist += np.bincount(
+        (base + high_bin).ravel(), weights=(mag * frac).ravel(),
+        minlength=n * DESCRIPTOR_DIM,
+    )
+    hist = hist.reshape(n, DESCRIPTOR_DIM)
+    norms = np.linalg.norm(hist, axis=1)
+    zero = norms == 0.0
+    hist[zero] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
+    norms[zero] = 1.0
+    return hist / norms[:, None]
+
+
+def pixel_rasters(n: int, seed: int) -> np.ndarray:
+    """n rasters of 8-bit intensities, as read from PGM, every 7th constant."""
+    rasters = np.random.default_rng(seed).integers(0, 256, (n, PATCH_SIDE, PATCH_SIDE)) / 255.0
+    rasters[::7] = rasters[::7, :1, :1]
+    return rasters
+
+
 class TestEmbedPatch:
     def test_constant_patch_maps_to_uniform_unit_vector(self):
         desc = embed_patch(np.full((PATCH_SIDE, PATCH_SIDE), 0.3))
@@ -82,6 +120,25 @@ class TestEmbedPatch:
     def test_wrong_size_rejected(self):
         with pytest.raises(ValueError, match="32x32"):
             embed_patch(np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 69, 2544])
+    def test_blocks_match_the_whole_stack_bit_for_bit(self, n):
+        rasters = pixel_rasters(n, seed=26)
+        got = embed_patches(rasters)
+        assert got.shape == (n, DESCRIPTOR_DIM)
+        assert got.tobytes() == unblocked_embedding(rasters).tobytes()
+
+    def test_temporaries_do_not_grow_with_the_stack(self):
+        # numpy reports its array buffers to tracemalloc. Whole-stack
+        # temporaries for 2,544 rasters take ~255 MB; blocks stay near 5 MB.
+        rasters = pixel_rasters(2544, seed=27)
+        tracemalloc.start()
+        try:
+            out = embed_patches(rasters)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 8 * 2**20
 
 
 class TestEmbedImageGlobal:

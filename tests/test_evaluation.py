@@ -244,6 +244,30 @@ class TestCsv:
         with pytest.raises(FormatError, match=message):
             load_ground_truth(path)
 
+    def test_ground_truth_fuzz_truncation_and_ff_bytes(self, tmp_path):
+        good = tmp_path / "good.csv"
+        save_ground_truth(
+            good, GroundTruth(relevance={"q1": {"a": "rel", "b": "junk"}, "q2": {"c": "nonrel"}})
+        )
+        data = good.read_bytes()
+        assert len(data) == 55
+        path = tmp_path / "fuzz.csv"
+        mutations = [data[:cut] for cut in range(len(data))]
+        mutations += [data[:at] + b"\xff" + data[at + 1 :] for at in range(len(data))]
+        loaded = 0
+        for mutated in mutations:
+            path.write_bytes(mutated)
+            try:
+                gt = load_ground_truth(path)
+            except ValueError as exc:  # FormatError included
+                assert str(exc).startswith(f"{path}:"), mutated
+                continue
+            loaded += 1
+            assert gt.queries() and set(gt.queries()) <= {"q1", "q2"}, mutated
+            for labels in gt.relevance.values():
+                assert set(labels.values()) <= {"rel", "nonrel", "junk"}, mutated
+        assert loaded > 0
+
     def test_metric_report_format(self, tmp_path):
         path = tmp_path / "report.csv"
         write_metric_report(path, [("q1", 0.5), ("q2", 1.0)], 0.75, mode="map")

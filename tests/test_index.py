@@ -2,6 +2,7 @@
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -257,3 +258,48 @@ class TestPersistence:
         path.write_bytes(header + entry + entry)
         with pytest.raises(FormatError, match="duplicate image id 'a' at byte offset 29"):
             load(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_with_offset(self, tmp_path, value):
+        # Stored out of id order: the offset must follow the file, not the index.
+        path = tmp_path / "nan.kidx"
+        header = struct.pack("<4sIII", b"KIDX", 1, 2, 2)
+        second = struct.pack("<I", 1) + b"b" + struct.pack("<2f", 0.6, 0.8)
+        first = struct.pack("<I", 1) + b"a" + struct.pack("<2f", 0.6, value)
+        path.write_bytes(header + second + first)
+        with pytest.raises(FormatError, match="non-finite value at byte offset 38$"):
+            load(path)
+
+    def test_fuzz_truncation_and_ff_bytes(self, tmp_path):
+        # 0xFF in a value's high byte gives -inf (1.0), -NaN (1.5), a
+        # signalling NaN (1.25) or a huge finite value (0.5, -0.75).
+        entries = [
+            IndexEntry("a", np.array([1.0, 1.5, -0.75])),
+            IndexEntry("bc", np.array([1.25, 0.5, 0.0])),
+        ]
+        good = tmp_path / "good.kidx"
+        save(good, build(entries))
+        data = good.read_bytes()
+        assert len(data) == 51
+        path = tmp_path / "fuzz.kidx"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match="byte offset"):
+                load(path)
+        loaded = 0
+        for at in range(len(data)):
+            mutated = data[:at] + b"\xff" + data[at + 1 :]
+            path.write_bytes(mutated)
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    idx = load(path)
+            except FormatError as exc:
+                assert "byte offset" in str(exc), at
+                continue
+            loaded += 1
+            for image_id in idx.ids:
+                assert np.all(np.isfinite(idx.vector(image_id))), at
+            save(tmp_path / "again.kidx", idx)
+            assert (tmp_path / "again.kidx").read_bytes() == mutated, at
+        assert loaded > 0

@@ -1,5 +1,7 @@
 """Transform generator and PGM container tests."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,28 @@ class TestPgm:
         path.write_bytes(b"P5\n8 8\n65535\n" + bytes(128))
         with pytest.raises(FormatError, match="maxval"):
             read_pgm(path)
+
+    def test_fuzz_truncation_and_ff_bytes(self, tmp_path):
+        pixels = np.random.default_rng(8).integers(0, 256, size=(8, 9)) / 255.0
+        good = tmp_path / "good.pgm"
+        write_pgm(good, Image(pixels))
+        data = good.read_bytes()
+        assert len(data) == 83
+        path = tmp_path / "fuzz.pgm"
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(FormatError, match=re.escape(str(path))):
+                read_pgm(path)
+        loaded = 0
+        for at in range(len(data)):
+            mutated = data[:at] + b"\xff" + data[at + 1 :]
+            path.write_bytes(mutated)
+            try:
+                img = read_pgm(path)
+            except FormatError as exc:
+                assert str(path) in str(exc), at
+                continue
+            loaded += 1
+            write_pgm(tmp_path / "again.pgm", img)
+            assert (tmp_path / "again.pgm").read_bytes() == mutated, at
+        assert loaded == 8 * 9
