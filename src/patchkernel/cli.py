@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -58,30 +57,27 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
-    with stage("synth"):
-        ids = synth.generate_corpus(args.out, n_base=args.n_base, seed=args.seed)
+    ids = synth.generate_corpus(args.out, n_base=args.n_base, seed=args.seed)
     print(f"wrote {len(ids)} images and groundtruth.csv to {args.out}")
 
 
 def _cmd_propose(args: argparse.Namespace) -> None:
-    with stage("propose"):
-        img = read_pgm(args.image)
-        cfg = proposals.ProposalConfig(n=args.n, nms_iou=args.nms_iou, scales=args.scales)
-        found = proposals.propose(img, cfg)
-        proposals.write_patches_csv(args.out, found)
+    img = read_pgm(args.image)
+    cfg = proposals.ProposalConfig(n=args.n, nms_iou=args.nms_iou, scales=args.scales)
+    found = proposals.propose(img, cfg)
+    proposals.write_patches_csv(args.out, found)
     print(f"wrote {len(found)} patches to {args.out}")
 
 
 def _cmd_embed(args: argparse.Namespace) -> None:
-    with stage("embed"):
-        img = read_pgm(args.image)
-        cfg = _config_from_args(args)
-        if args.image_id is not None:
-            image_id = args.image_id
-        else:
-            image_id = Path(args.image).stem
-        dset = describe_image(image_id, img, cfg)
-        save_descriptors(args.out, dset)
+    img = read_pgm(args.image)
+    cfg = _config_from_args(args)
+    if args.image_id is not None:
+        image_id = args.image_id
+    else:
+        image_id = Path(args.image).stem
+    dset = describe_image(image_id, img, cfg)
+    save_descriptors(args.out, dset)
     print(f"wrote {dset.values.shape[0]} descriptors to {args.out}")
 
 
@@ -89,8 +85,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
     with stage("corpus"):
         corpus = load_corpus(args.corpus)
-    with stage("embed"), tempfile.TemporaryDirectory() as desc_dir:
-        sets = describe_corpus(corpus, cfg, desc_dir)
+    with stage("embed"):
+        sets = describe_corpus(corpus, cfg)
     with stage("train"):
         pca, gmm = train_codebook(sets, cfg)
         encode.save_model(args.out, pca, gmm)
@@ -100,64 +96,57 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 def _cmd_encode(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
-    with stage("encode"):
-        pca, gmm = encode.load_model(args.model)
-        sets = [load_descriptors(path) for path in args.descriptors]
-        idx = index_mod.build(encode_sets(pca, gmm, sets, cfg))
-        index_mod.save(args.out, idx)
+    pca, gmm = encode.load_model(args.model)
+    sets = [load_descriptors(path) for path in args.descriptors]
+    idx = index_mod.build(encode_sets(pca, gmm, sets, cfg))
+    index_mod.save(args.out, idx)
     print(f"encoded {len(idx)} images to {args.out}")
 
 
 def _cmd_index(args: argparse.Namespace) -> None:
-    with stage("index"):
-        entries: list[index_mod.IndexEntry] = []
-        for path in args.inputs:
-            part = index_mod.load(path)
-            entries.extend(
-                index_mod.IndexEntry(image_id=i, values=part.vector(i)) for i in part.ids
-            )
-        idx = index_mod.build(entries)
-        index_mod.save(args.out, idx)
+    entries: list[index_mod.IndexEntry] = []
+    for path in args.inputs:
+        part = index_mod.load(path)
+        entries.extend(index_mod.IndexEntry(image_id=i, values=part.vector(i)) for i in part.ids)
+    idx = index_mod.build(entries)
+    index_mod.save(args.out, idx)
     print(f"indexed {len(idx)} images to {args.out}")
 
 
 def _cmd_search(args: argparse.Namespace) -> None:
-    with stage("search"):
-        idx = index_mod.load(args.index)
-        queries = index_mod.load(args.queries)
-        lines = ["query_id,rank,image_id,score"]
-        for query_id in queries.ids:
-            results = index_mod.search(idx, queries.vector(query_id), args.k)
-            for rank, (image_id, score) in enumerate(results, start=1):
-                lines.append(f"{query_id},{rank},{image_id},{score:.6f}")
-        text = "\n".join(lines) + "\n"
-        if args.out is not None:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+    idx = index_mod.load(args.index)
+    queries = index_mod.load(args.queries)
+    lines = ["query_id,rank,image_id,score"]
+    for query_id in queries.ids:
+        results = index_mod.search(idx, queries.vector(query_id), args.k)
+        for rank, (image_id, score) in enumerate(results, start=1):
+            lines.append(f"{query_id},{rank},{image_id},{score:.6f}")
+    text = "\n".join(lines) + "\n"
+    if args.out is not None:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_eval(args: argparse.Namespace) -> None:
-    with stage("eval"):
-        idx = index_mod.load(args.index)
-        gt = evaluation.load_ground_truth(args.gt)
-        rows, overall = evaluate_index(idx, gt, args.mode)
-        evaluation.write_metric_report(args.out, rows, overall, mode=args.mode)
+    idx = index_mod.load(args.index)
+    gt = evaluation.load_ground_truth(args.gt)
+    rows, overall = evaluate_index(idx, gt, args.mode)
+    evaluation.write_metric_report(args.out, rows, overall, mode=args.mode)
     label = "mAP" if args.mode == "map" else "mean top-4"
     print(f"{label} = {overall:.6f} over {len(rows)} queries; report at {args.out}")
 
 
 def _cmd_sensitivity(args: argparse.Namespace) -> None:
-    with stage("sensitivity"):
-        corpus = load_corpus(args.corpus)
-        if args.grid:
-            grid = [float(v) for v in args.grid.split(",")]
-            if args.kind == "translate":
-                grid = [int(v) for v in grid]
-        else:
-            grid = evaluation.default_grid(args.kind, min(img.width for _, img in corpus))
-        curve = evaluation.sensitivity_study(corpus, args.kind, grid)
-        evaluation.write_curve_csv(args.out, curve)
+    corpus = load_corpus(args.corpus)
+    if args.grid:
+        grid = [float(v) for v in args.grid.split(",")]
+        if args.kind == "translate":
+            grid = [int(v) for v in grid]
+    else:
+        grid = evaluation.default_grid(args.kind, min(img.width for _, img in corpus))
+    curve = evaluation.sensitivity_study(corpus, args.kind, grid)
+    evaluation.write_curve_csv(args.out, curve)
     print(f"wrote {len(curve.grid)}-point {args.kind} curve to {args.out}")
 
 

@@ -24,7 +24,6 @@ from .embed import (
     DescriptorMeta,
     DescriptorSet,
     embed_patches,
-    load_descriptors,
     save_descriptors,
 )
 from .errors import StageError
@@ -204,25 +203,15 @@ def load_corpus(corpus_dir: str | Path) -> list[tuple[str, Image]]:
     return [(p.stem, read_pgm(p)) for p in paths]
 
 
-def describe_corpus(
-    corpus: list[tuple[str, Image]], cfg: PipelineConfig, desc_dir: str | Path
-) -> list[DescriptorSet]:
-    """Describe every image in the thread pool and write one KDESC file each.
+def describe_corpus(corpus: list[tuple[str, Image]], cfg: PipelineConfig) -> list[DescriptorSet]:
+    """Describe every image in the thread pool, with values rounded to f32 as KDESC stores them.
 
-    Returns the sets as read back from those files, so later stages see
-    the same f32 values that `encode` reads from them, and images whose
-    descriptors agree in f32 get identical vectors.
+    Rounding moves a unit row's norm by about 6e-8, inside the 1e-6 within which
+    `load_descriptors` keeps a row verbatim, so these are the values it would read back.
     """
-    desc_dir = Path(desc_dir)
-    desc_dir.mkdir(parents=True, exist_ok=True)
     with ThreadPoolExecutor(max_workers=resolve_threads(cfg.threads)) as pool:
         sets = list(pool.map(lambda item: describe_image(item[0], item[1], cfg), corpus))
-    read_back = []
-    for dset in sets:
-        path = desc_dir / f"{dset.image_id}.kdesc"
-        save_descriptors(path, dset)
-        read_back.append(load_descriptors(path))
-    return read_back
+    return [DescriptorSet(d.image_id, d.meta, d.values.astype(np.float32)) for d in sets]
 
 
 def train_codebook(
@@ -238,14 +227,15 @@ def train_codebook(
 def encode_sets(
     pca: encode.PCAModel, gmm: encode.GMMModel, sets: list[DescriptorSet], cfg: PipelineConfig
 ) -> list[index_mod.IndexEntry]:
-    """Project and aggregate each set into its Fisher vector, in the thread pool."""
+    """Project and aggregate each set into its Fisher vector, in one loop.
 
-    def encode_one(dset: DescriptorSet) -> index_mod.IndexEntry:
+    No thread pool: `aggregate`'s GEMMs already run on every BLAS thread.
+    """
+    entries = []
+    for dset in sets:
         fv = encode.aggregate(gmm, encode.pca_project(pca, dset.values), cfg.normalization)
-        return index_mod.IndexEntry(image_id=dset.image_id, values=fv.values)
-
-    with ThreadPoolExecutor(max_workers=resolve_threads(cfg.threads)) as pool:
-        return list(pool.map(encode_one, sets))
+        entries.append(index_mod.IndexEntry(image_id=dset.image_id, values=fv.values))
+    return entries
 
 
 @dataclass
@@ -268,7 +258,10 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
     with stage("corpus"):
         corpus = load_corpus(corpus_dir)
     with stage("embed"):
-        sets = describe_corpus(corpus, cfg, desc_dir)
+        sets = describe_corpus(corpus, cfg)
+        desc_dir.mkdir(parents=True, exist_ok=True)
+        for dset in sets:
+            save_descriptors(desc_dir / f"{dset.image_id}.kdesc", dset)
     with stage("train"):
         pca, gmm = train_codebook(sets, cfg)
         encode.save_model(model_path, pca, gmm)

@@ -169,6 +169,7 @@ def read_pgm(path: str | Path) -> Image:
         raise FormatError(f"{path}: not a P5 PGM (bad magic at byte offset 0)")
     pos = 2
     fields: list[int] = []
+    offsets: list[int] = []
     while len(fields) < 3:
         while pos < len(data) and data[pos : pos + 1].isspace():
             pos += 1
@@ -183,11 +184,18 @@ def read_pgm(path: str | Path) -> Image:
         if not token.isdigit():
             raise FormatError(f"{path}: bad header token at byte offset {start}")
         fields.append(int(token))
+        offsets.append(start)
     width, height, maxval = fields
     if maxval != 255:
-        raise FormatError(f"{path}: unsupported maxval {maxval}, expected 255")
+        raise FormatError(
+            f"{path}: unsupported maxval {maxval} at byte offset {offsets[2]}, expected 255"
+        )
     if height < MIN_SOURCE_SIDE or width < MIN_SOURCE_SIDE:
-        raise FormatError(f"{path}: {width}x{height} below minimum source size {MIN_SOURCE_SIDE}")
+        offset = offsets[0] if width < MIN_SOURCE_SIDE else offsets[1]
+        raise FormatError(
+            f"{path}: {width}x{height} below minimum source size {MIN_SOURCE_SIDE} "
+            f"at byte offset {offset}"
+        )
     pos += 1  # single whitespace byte after maxval
     expected = width * height
     raw = data[pos : pos + expected]

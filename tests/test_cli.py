@@ -194,6 +194,25 @@ def test_missing_image_error_format(tmp_path, capsys):
     assert "\n" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["synth", "--out", "{junk}"], "[Errno 17] File exists: '{junk}'"),
+        (["embed", "{junk}", "--out", "{out}"], "{junk}: not a P5 PGM (bad magic at byte offset 0)"),
+        (["encode", "{junk}", "--model", "{junk}", "--out", "{out}"],
+         "{junk}: bad magic at byte offset 0"),
+        (["search", "--index", "{junk}", "--queries", "{junk}"],
+         "{junk}: bad magic at byte offset 0"),
+    ],
+)
+def test_command_failure_is_one_line_named_by_command(argv, message, tmp_path, capsys):
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"JUNK" + bytes(60))
+    names = {"junk": junk, "out": tmp_path / "out"}
+    assert main([arg.format(**names) for arg in argv]) == 1
+    assert capsys.readouterr().err == f"{argv[0]}: {message.format(**names)}\n"
+
+
 def test_stage_prefix_from_pipeline(tmp_path, capsys):
     code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from patchkernel import index as index_mod
+from patchkernel.embed import load_descriptors, save_descriptors
 from patchkernel.errors import StageError
 from patchkernel.evaluation import GroundTruth
 from patchkernel.pipeline import (
     PipelineConfig,
+    describe_corpus,
     describe_image,
     evaluate_index,
     full_frame_patch,
@@ -16,6 +18,7 @@ from patchkernel.pipeline import (
     stage,
 )
 from patchkernel.raster import Image
+from patchkernel.synth import generate_corpus
 
 
 class TestConfig:
@@ -75,6 +78,26 @@ class TestDescribeImage:
         img = Image(np.full((48, 40), 0.2))
         p = full_frame_patch(img)
         assert p.rect() == (0, 0, 40, 48)
+
+
+class TestDescribeCorpus:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("corpus")
+        generate_corpus(out, n_base=1, seed=42)
+        return load_corpus(out)[:3]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [PipelineConfig(), PipelineConfig(rotations=False),
+         PipelineConfig(use_proposals=False, rotations=False)],
+        ids=["default", "rotations-off", "global-baseline"],
+    )
+    def test_in_memory_values_equal_kdesc_read_back(self, corpus, cfg, tmp_path):
+        for dset in describe_corpus(corpus, cfg):
+            path = tmp_path / f"{dset.image_id}.kdesc"
+            save_descriptors(path, dset)
+            assert np.array_equal(dset.values, load_descriptors(path).values), dset.image_id
 
 
 class TestEvaluateIndex:

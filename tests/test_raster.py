@@ -241,7 +241,16 @@ class TestPgm:
     def test_wrong_maxval(self, tmp_path):
         path = tmp_path / "deep.pgm"
         path.write_bytes(b"P5\n8 8\n65535\n" + bytes(128))
-        with pytest.raises(FormatError, match="maxval"):
+        with pytest.raises(FormatError, match="maxval 65535 at byte offset 7,"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize(
+        "header, offset", [(b"P5\n4 4\n255\n", 3), (b"P5\n8 4\n255\n", 5)]
+    )
+    def test_below_minimum_size(self, header, offset, tmp_path):
+        path = tmp_path / "small.pgm"
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(FormatError, match=f"size 8 at byte offset {offset}$"):
             read_pgm(path)
 
     def test_fuzz_truncation_and_ff_bytes(self, tmp_path):
@@ -253,7 +262,7 @@ class TestPgm:
         path = tmp_path / "fuzz.pgm"
         for cut in range(len(data)):
             path.write_bytes(data[:cut])
-            with pytest.raises(FormatError, match=re.escape(str(path))):
+            with pytest.raises(FormatError, match=re.escape(str(path)) + ".* byte offset "):
                 read_pgm(path)
         loaded = 0
         for at in range(len(data)):
@@ -262,7 +271,7 @@ class TestPgm:
             try:
                 img = read_pgm(path)
             except FormatError as exc:
-                assert str(path) in str(exc), at
+                assert str(path) in str(exc) and " byte offset " in str(exc), at
                 continue
             loaded += 1
             write_pgm(tmp_path / "again.pgm", img)
