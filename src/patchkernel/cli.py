@@ -31,9 +31,13 @@ from .pipeline import (
 from .raster import read_pgm
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, threads: bool = True) -> None:
+    """One flag per config key; `threads=False` leaves out --threads, for a
+    command that runs no worker pool."""
     parser.add_argument("--config", type=Path, help="key=value config file")
     for key in CONFIG_KEYS:
+        if key.field == "threads" and not threads:
+            continue
         if key.switch is None:
             parser.add_argument(
                 key.flag, dest=key.field, type=key.parse, choices=key.choices, help=key.help
@@ -49,7 +53,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     updates = {
         key.field: getattr(args, key.field)
         for key in CONFIG_KEYS
-        if getattr(args, key.field) is not None
+        if getattr(args, key.field, None) is not None
     }
     if updates.get("use_proposals") is False:
         updates.setdefault("rotations", False)
@@ -184,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("image", type=Path)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--image-id", type=str)
-    _add_config_flags(p)
+    _add_config_flags(p, threads=False)
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("train", help="train the PCA+GMM codebook on a corpus")
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("descriptors", type=Path, nargs="+")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, threads=False)
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("index", help="merge index files")

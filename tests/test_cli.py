@@ -294,6 +294,20 @@ def test_threads_env_override(monkeypatch):
     assert resolve_threads(None) >= 1
 
 
+@pytest.mark.parametrize("command", [["embed", "img.pgm"], ["encode", "a.kdesc", "--model", "m"]])
+def test_threads_flag_refused_where_no_pool_runs(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--out", "o", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_threads_flag_sizes_the_describe_pool(command):
+    args = build_parser().parse_args([command, "--corpus", "c", "--out", "o", "--threads", "2"])
+    assert _config_from_args(args).threads == 2
+
+
 def test_threads_env_not_an_integer(monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("KCNN_THREADS", "two")
     code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])

@@ -9,6 +9,7 @@ import pytest
 from patchkernel.encode import (
     EM_MAX_ITER,
     EM_MAX_SAMPLES,
+    EM_REL_TOL,
     GMMModel,
     PCAModel,
     _e_step,
@@ -23,6 +24,8 @@ from patchkernel.encode import (
     save_model,
 )
 from patchkernel.errors import FormatError, TrainingError
+from patchkernel.pipeline import PipelineConfig, describe_corpus, load_corpus, train_codebook
+from patchkernel.synth import generate_corpus
 
 
 def random_gmm(rng, dim, components) -> GMMModel:
@@ -215,6 +218,40 @@ class TestGmmTrain:
         reference = float(np.mean([log_density(model, x) for x in data]))
         assert model.log_likelihoods[-1] == pytest.approx(reference, rel=1e-12)
 
+    def test_default_build_stops_on_tolerance(self, tmp_path):
+        generate_corpus(tmp_path, n_base=20, seed=1)
+        cfg = PipelineConfig()
+        _, model = train_codebook(describe_corpus(load_corpus(tmp_path), cfg), cfg)
+        assert len(model.log_likelihoods) < EM_MAX_ITER
+
+    def test_empty_component_keeps_its_initialisation(self, monkeypatch):
+        # the last centre is 1,000 standard deviations from every row, so the
+        # E-step gives it a responsibility of exactly 0 in every iteration
+        rng = np.random.default_rng(64)
+        data = np.concatenate(
+            [rng.normal(c, 0.5, size=(150, 2)) for c in ((0.0, 0.0), (3.0, 0.0), (0.0, 3.0))]
+        )
+        seeded = _kmeanspp_centers
+
+        def one_far_center(rows, count, gen):
+            centers = seeded(rows, count, gen)
+            centers[-1] = (1e3, -1e3)
+            return centers
+
+        monkeypatch.setattr("patchkernel.encode._kmeanspp_centers", one_far_center)
+        model = gmm_train(data, 4, seed=0)
+        for part in (model.weights, model.means, model.variances, model.log_likelihoods):
+            assert np.all(np.isfinite(part))
+        assert model.weights[-1] == pytest.approx(1e-12, rel=1e-9)
+        assert np.array_equal(model.means[-1], [1e3, -1e3])
+        floor = 1e-4 * float(np.mean(np.var(data, axis=0)))
+        assert np.array_equal(model.variances[-1], np.maximum(np.var(data, axis=0), floor))
+
+        fv = aggregate(model, data[::7])
+        assert abs(np.linalg.norm(fv.values) - 1.0) <= 1e-12
+        blocks = fv.values.reshape(2, 4, 2)[:, -1]
+        assert np.all(blocks == 0.0) and not np.any(np.signbit(blocks))
+
 
 def e_step(model: GMMModel, data: np.ndarray):
     return _e_step(model, np.hstack([data, data**2]))
@@ -336,7 +373,7 @@ class TestEStepCut:
         for _ in range(EM_MAX_ITER):
             resp, log_lik, _ = unclamped_e_step(GMMModel(weights, means, variances), stats)
             history.append(float(np.mean(log_lik)))
-            if len(history) > 1 and history[-1] - history[-2] < 1e-6 * abs(history[-2]):
+            if len(history) > 1 and history[-1] - history[-2] < EM_REL_TOL * abs(history[-2]):
                 break
             mass = resp.sum(axis=0)
             moments = resp.T @ stats
@@ -431,6 +468,25 @@ class TestAggregate:
         assert improved.normalized
         assert abs(np.linalg.norm(improved.values) - 1.0) <= 1e-6
         assert np.array_equal(np.sign(improved.values), np.sign(raw))
+
+    def test_negligible_component_blocks_are_positive_zero(self):
+        # the first row lies 699.4 nats behind the far component, just inside
+        # the E-step cut, so its soft count is ~2e-304; the other rows are cut
+        model = GMMModel(
+            weights=np.array([0.5, 0.5]),
+            means=np.array([[0.0, 0.0], [37.4, 0.25]]),
+            variances=np.ones((2, 2)),
+        )
+        xs = np.array([[0.0, 0.25], [-1.0, 0.3], [-0.8, -0.5]])
+        s0 = e_step(model, xs)[0].sum(axis=0)
+        assert 1e-305 < s0[1] < 1e-303
+        fv = aggregate(model, xs)
+        blocks = fv.values.reshape(2, 2, 2)[:, 1]
+        assert np.all(blocks == 0.0) and not np.any(np.signbit(blocks))
+        nudged = xs.copy()
+        nudged[0, 1] = np.nextafter(0.25, 0.0)
+        moved = aggregate(model, nudged)
+        assert moved.values.astype("<f4").tobytes() == fv.values.astype("<f4").tobytes()
 
     def test_empty_set_rejected(self):
         rng = np.random.default_rng(52)
