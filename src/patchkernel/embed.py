@@ -33,6 +33,21 @@ _CELL_OFFSET = (
     + np.arange(PATCH_SIDE)[None, :] // (PATCH_SIDE // GRID_CELLS)
 ) * ORIENT_BINS
 
+
+def _quarter_turn_columns() -> np.ndarray:
+    """Row m is the column index T applied m times, where embed_patches(rot90(x))
+    equals embed_patches(x)[:, T] up to rounding: cell (r, c) takes cell
+    (c, 3 - r) of the unturned raster and bin b takes its bin b + 2."""
+    r, c, b = np.ogrid[:GRID_CELLS, :GRID_CELLS, :ORIENT_BINS]
+    turn = ((c * GRID_CELLS + GRID_CELLS - 1 - r) * ORIENT_BINS + (b + 2) % ORIENT_BINS).ravel()
+    rows = [np.arange(DESCRIPTOR_DIM)]
+    for _ in range(3):
+        rows.append(rows[-1][turn])
+    return np.stack(rows)
+
+
+_TURN_COLUMNS = _quarter_turn_columns()
+
 # Rasters embedded per block. Whole-stack temporaries (~20 of them, each
 # n x P x P float64) are faulted in afresh for every image; at 32 rasters
 # each is 256 KB, stays in L2, and the allocator reuses its heap pages.
@@ -64,7 +79,7 @@ def _embed_block(rasters: np.ndarray) -> np.ndarray:
     n = rasters.shape[0]
     gy = np.gradient(rasters, axis=1)
     gx = np.gradient(rasters, axis=2)
-    mag = np.hypot(gx, gy)
+    mag = np.sqrt(gx * gx + gy * gy)  # symmetric in gx, gy and their signs: quarter turns keep it exact
     orient = np.arctan2(gy, gx)  # [-pi, pi]
 
     bin_pos = orient / (2.0 * np.pi / ORIENT_BINS)
@@ -94,6 +109,25 @@ def _embed_block(rasters: np.ndarray) -> np.ndarray:
         hist[zero] = 1.0 / np.sqrt(DESCRIPTOR_DIM)
         norms[zero] = 1.0
     return hist / norms[:, None]
+
+
+def quarter_turn_copies(desc_pairs: np.ndarray, turns: np.ndarray) -> np.ndarray:
+    """The (n, 8, D) descriptors of every patch's 8 rotated copies from its 2 embedded rasters.
+
+    desc_pairs (n, 2, D) embeds each patch's canonical quarter turn rot90(base, k)
+    and its 45 degree tilt; turns (n,) holds k (see proposals.augment_rotations).
+    Copy j, the base turned by 45 j degrees, is pair j % 2 with the quarter-turn
+    column permutation applied (j // 2 - k) mod 4 times, within ~1e-14 of
+    embedding that copy's own raster.
+    """
+    desc_pairs = np.asarray(desc_pairs, dtype=np.float64)
+    if desc_pairs.ndim != 3 or desc_pairs.shape[1:] != (2, DESCRIPTOR_DIM):
+        raise ValueError(
+            f"expected pairs of shape (n, 2, {DESCRIPTOR_DIM}), got {desc_pairs.shape}"
+        )
+    copies = np.arange(ROTATION_COUNT)
+    steps = (copies // 2 - np.asarray(turns)[:, None]) % 4
+    return np.take_along_axis(desc_pairs[:, copies % 2], _TURN_COLUMNS[steps], axis=2)
 
 
 def embed_patch(raster: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .embed import (
     DescriptorMeta,
     DescriptorSet,
     embed_patches,
+    quarter_turn_copies,
     save_descriptors,
 )
 from .errors import StageError
@@ -174,7 +175,10 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
 
     With proposals disabled the single full-frame patch is used, so the
     rotations-off variant reduces exactly to the global whole-image
-    descriptor path.
+    descriptor path. With rotations on, two rasters per patch are embedded
+    and the other six copies are derived by a column permutation
+    (embed.quarter_turn_copies); rows stay in (patch_id, rotation_index)
+    order, copy j being the patch turned by 45 j degrees.
     """
     if cfg.use_proposals:
         patches = propose(img, cfg.proposal_config())
@@ -182,15 +186,17 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
         patches = [full_frame_patch(img)]
 
     if cfg.rotations:
-        rasters = augment_rotations(img, patches)
+        pairs, turns = augment_rotations(img, patches)
+        pair_values = embed_patches(pairs.reshape(-1, PATCH_SIDE, PATCH_SIDE))
+        copies = quarter_turn_copies(pair_values.reshape(len(patches), 2, -1), turns)
     else:
-        rasters = patch_rasters(img, patches)[:, None]
+        copies = embed_patches(patch_rasters(img, patches))[:, None]
     meta = [
         DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
         for patch_id, p in enumerate(patches)
-        for rotation_index in range(rasters.shape[1])
+        for rotation_index in range(copies.shape[1])
     ]
-    values = embed_patches(rasters.reshape(-1, PATCH_SIDE, PATCH_SIDE))
+    values = copies.reshape(-1, DESCRIPTOR_DIM)
     return DescriptorSet(image_id=image_id, meta=meta, values=values)
 
 
@@ -218,8 +224,10 @@ def train_codebook(
     sets: list[DescriptorSet], cfg: PipelineConfig
 ) -> tuple[encode.PCAModel, encode.GMMModel]:
     """Fit PCA on every descriptor, then the GMM on their projections."""
-    all_values = np.vstack([dset.values for dset in sets])
-    pca = encode.pca_train(all_values, cfg.pca_dim, whiten=cfg.whiten)
+    # The stacked matrix is dead once PCA is fitted, so EM does not hold it.
+    pca = encode.pca_train(
+        np.vstack([dset.values for dset in sets]), cfg.pca_dim, whiten=cfg.whiten
+    )
     reduced = np.vstack([encode.pca_project(pca, dset.values) for dset in sets])
     return pca, encode.gmm_train(reduced, cfg.gmm_components, cfg.seed)
 

@@ -160,20 +160,52 @@ def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
     return out
 
 
-def augment_rotations(img: Image, patches: list[Patch]) -> np.ndarray:
-    """Return the 8 rotated copies of every patch as an (n, 8, P, P) array.
+def augment_rotations(img: Image, patches: list[Patch]) -> tuple[np.ndarray, np.ndarray]:
+    """The two rasters per patch that its 8 rotated copies derive from.
 
-    Each patch is cropped, resized to the canonical side, then rotated in 45
-    degree steps: multiples of 90 are exact pixel permutations, the 45 family
-    is an exact quarter-turn followed by a bilinear rotate, inscribed-square
-    crop, and resize back. Pre-rotating the patch raster by 90 degrees
-    therefore permutes the 8 copies bit-exactly instead of changing them.
+    Returns (pairs, turns). pairs (n, 2, P, P) holds each patch's canonical
+    quarter turn c = rot90(base, k), the k in 0..3 whose raster bytes compare
+    smallest (the lowest k on a tie), and c turned by 45 degrees through a
+    bilinear rotate, inscribed-square crop and resize back; turns (n,) holds
+    k. Copy j of rotation_stack(base) is pair j % 2 turned a further
+    (j // 2 - k) mod 4 quarter turns. A base pre-rotated by q quarter turns
+    (np.rot90(base, q)) has the same canonical raster, so its pairs are
+    bit-identical and its turn is k - q mod 4.
     """
-    return rotation_stack(patch_rasters(img, patches))
+    bases = patch_rasters(img, patches)
+    quarters = np.stack([np.rot90(bases, k, axes=(-2, -1)) for k in range(4)], axis=1)
+    turns = _first_in_byte_order(quarters)
+    canonical = quarters[np.arange(len(bases)), turns]
+    tilted = resize_bilinear(
+        _rotate_crop_array(canonical, ROTATION_STEP_DEG), PATCH_SIDE, PATCH_SIDE
+    )
+    return np.clip(np.stack([canonical, tilted], axis=1), 0.0, 1.0), turns
+
+
+def _first_in_byte_order(stacks: np.ndarray) -> np.ndarray:
+    """Per row of an (n, m, P, P) float64 array, the index along axis 1 of the
+    raster whose bytes compare smallest; the lowest index on a tie."""
+    # Big-endian 64-bit words order as their bytes do.
+    words = stacks.reshape(stacks.shape[0], stacks.shape[1], -1).view(">u8")
+    rows = np.arange(len(words))
+    best = np.zeros(len(words), dtype=np.int64)
+    for k in range(1, words.shape[1]):
+        held, candidate = words[rows, best], words[:, k]
+        first = np.argmax(held != candidate, axis=1)
+        best[candidate[rows, first] < held[rows, first]] = k
+    return best
 
 
 def rotation_stack(bases: np.ndarray) -> np.ndarray:
-    """The 8 rotated copies of a (..., P, P) stack as (..., 8, P, P); see augment_rotations."""
+    """The 8 rotated copies of a (..., P, P) stack as (..., 8, P, P).
+
+    Copy j is the base turned by 45 j degrees: multiples of 90 are exact pixel
+    permutations, the 45 family is an exact quarter turn followed by a bilinear
+    rotate, inscribed-square crop and resize back. Pre-rotating a base by 90
+    degrees therefore permutes its copies bit-exactly. The pipeline embeds two
+    rasters per patch instead (augment_rotations); this is the definition the
+    derived copies are checked against.
+    """
     out = np.empty(bases.shape[:-2] + (ROTATION_COUNT, PATCH_SIDE, PATCH_SIDE))
     for j in range(ROTATION_COUNT):
         quarter = np.rot90(bases, j // 2, axes=(-2, -1))

@@ -19,6 +19,7 @@ from patchkernel.embed import (
     embed_patch,
     embed_patches,
     load_descriptors,
+    quarter_turn_copies,
     save_descriptors,
     sum_pool,
 )
@@ -52,7 +53,7 @@ def unblocked_embedding(rasters: np.ndarray) -> np.ndarray:
     n = rasters.shape[0]
     gy = np.gradient(rasters, axis=1)
     gx = np.gradient(rasters, axis=2)
-    mag = np.hypot(gx, gy)
+    mag = np.sqrt(gx * gx + gy * gy)
     bin_pos = np.arctan2(gy, gx) / (2.0 * np.pi / ORIENT_BINS)
     low = np.floor(bin_pos)
     frac = bin_pos - low
@@ -139,6 +140,45 @@ class TestEmbedPatch:
         finally:
             tracemalloc.stop()
         assert peak - out.nbytes < 8 * 2**20
+
+
+def harmonic_rasters(n: int, seed: int) -> np.ndarray:
+    """n rasters of Re(e^(i phase) z^d), d in 1..3, on a centred grid, mapped into [0.05, 0.95]."""
+    rng = np.random.default_rng(seed)
+    yy, xx = (np.mgrid[0:PATCH_SIDE, 0:PATCH_SIDE] - (PATCH_SIDE - 1) / 2) / (PATCH_SIDE / 2)
+    z = xx + 1j * yy
+    out = np.empty((n, PATCH_SIDE, PATCH_SIDE))
+    for i in range(n):
+        field = np.real(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * z ** int(rng.integers(1, 4)))
+        out[i] = 0.5 + 0.45 * field / np.abs(field).max()
+    return out
+
+
+class TestQuarterTurnCopies:
+    @pytest.mark.parametrize("make", [pixel_rasters, harmonic_rasters], ids=["random", "harmonic"])
+    def test_each_copy_equals_embedding_its_turned_raster(self, make):
+        # Two unrelated raster sets stand in for the canonical turn and its tilt.
+        sources = [make(40, seed=28), make(40, seed=29)]
+        turns = np.arange(40) % 4
+        pairs = np.stack([embed_patches(src) for src in sources], axis=1)
+        copies = quarter_turn_copies(pairs, turns)
+        assert copies.shape == (40, 8, DESCRIPTOR_DIM)
+        for j in range(8):
+            turned = [np.rot90(x, j // 2 - k) for x, k in zip(sources[j % 2], turns)]
+            expected = embed_patches(np.stack(turned))
+            np.testing.assert_allclose(copies[:, j], expected, rtol=0, atol=1e-15)
+
+    def test_the_canonical_turn_is_copied_verbatim(self):
+        pairs = np.stack([embed_patches(pixel_rasters(8, seed=30 + i)) for i in range(2)], axis=1)
+        turns = np.arange(8) % 4
+        copies = quarter_turn_copies(pairs, turns)
+        rows = np.arange(8)
+        assert np.array_equal(copies[rows, 2 * turns], pairs[:, 0])
+        assert np.array_equal(copies[rows, 2 * turns + 1], pairs[:, 1])
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="pairs of shape"):
+            quarter_turn_copies(np.zeros((3, 8, DESCRIPTOR_DIM)), np.zeros(3, dtype=int))
 
 
 class TestEmbedImageGlobal:

@@ -1,24 +1,52 @@
 """Pipeline orchestration tests: config, describe stage, evaluation modes."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from patchkernel import index as index_mod
-from patchkernel.embed import load_descriptors, save_descriptors
+from patchkernel import encode, index as index_mod, pipeline
+from patchkernel.embed import (
+    PATCH_SIDE,
+    DescriptorMeta,
+    DescriptorSet,
+    embed_patches,
+    load_descriptors,
+    save_descriptors,
+    sum_pool,
+)
 from patchkernel.errors import StageError
-from patchkernel.evaluation import GroundTruth
+from patchkernel.evaluation import GroundTruth, load_ground_truth
 from patchkernel.pipeline import (
     PipelineConfig,
     describe_corpus,
     describe_image,
+    encode_sets,
     evaluate_index,
     full_frame_patch,
     load_corpus,
     run_pipeline,
     stage,
+    train_codebook,
 )
-from patchkernel.raster import Image
+from patchkernel.proposals import patch_rasters, propose, rotation_stack
+from patchkernel.raster import Image, _rotate_crop_array, resize_bilinear
 from patchkernel.synth import generate_corpus
+
+
+def embedded_copies(img: Image, cfg: PipelineConfig) -> np.ndarray:
+    """Every rotated copy of every proposal rasterised and embedded on its own."""
+    stacks = rotation_stack(patch_rasters(img, propose(img, cfg.proposal_config())))
+    return embed_patches(stacks.reshape(-1, PATCH_SIDE, PATCH_SIDE))
+
+
+def harmonic_patch(rng: np.random.Generator) -> np.ndarray:
+    """Criterion 5's patch: a homogeneous harmonic field, self-similar about the centre."""
+    yy, xx = (np.mgrid[0:PATCH_SIDE, 0:PATCH_SIDE] - 15.5) / 16.0
+    z = xx + 1j * yy
+    degree = int(rng.integers(1, 4))
+    field = np.real(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * z**degree)
+    return np.clip(0.5 + 0.45 * field / np.abs(field).max(), 0.0, 1.0)
 
 
 class TestConfig:
@@ -74,6 +102,53 @@ class TestDescribeImage:
         )
         assert all(m.rotation_index == 0 for m in dset.meta)
 
+    def test_rows_match_embedding_every_copy_on_its_own(self):
+        rng = np.random.default_rng(113)
+        yy, xx = np.mgrid[0:128, 0:128]
+        blob = 0.8 * np.exp(-((yy - 40) ** 2 + (xx - 88) ** 2) / (2 * 9.0**2))
+        img = Image(np.clip(blob + 0.05 + 0.1 * rng.random((128, 128)), 0.0, 1.0))
+        cfg = PipelineConfig(n_proposals=40)
+        patches = propose(img, cfg.proposal_config())
+        assert len({p.w for p in patches}) > 1
+        dset = describe_image("img", img, cfg)
+        assert dset.meta == [
+            DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
+            for patch_id, p in enumerate(patches)
+            for rotation_index in range(8)
+        ]
+        np.testing.assert_allclose(dset.values, embedded_copies(img, cfg), rtol=0, atol=1e-13)
+
+    def test_two_rasters_embedded_per_patch(self, monkeypatch):
+        embedded = []
+
+        def counting(rasters):
+            embedded.append(len(rasters))
+            return embed_patches(rasters)
+
+        monkeypatch.setattr(pipeline, "embed_patches", counting)
+        rng = np.random.default_rng(114)
+        dset = describe_image("img", Image(rng.random((96, 96))), PipelineConfig(n_proposals=5))
+        assert embedded == [2 * len({m.patch_id for m in dset.meta})]
+        assert len(dset.meta) == 4 * embedded[0]
+
+    def test_rotation_augmentation_invariance(self):
+        # Acceptance criterion 5's two checks, on the rows describe_image returns.
+        rng = np.random.default_rng(1005)
+        cfg = PipelineConfig(use_proposals=False)
+        worst = 0.0
+        for _ in range(50):
+            patch = harmonic_patch(rng)
+            pooled = sum_pool(describe_image("p", Image(patch), cfg).values)
+            for q in (1, 2, 3):
+                turned = describe_image("p", Image(np.rot90(patch, q)), cfg)
+                assert np.array_equal(sum_pool(turned.values), pooled)
+            pre_45 = np.clip(
+                resize_bilinear(_rotate_crop_array(patch, 45.0), PATCH_SIDE, PATCH_SIDE), 0.0, 1.0
+            )
+            pooled_45 = sum_pool(describe_image("p", Image(pre_45), cfg).values)
+            worst = max(worst, float(np.linalg.norm(pooled_45 - pooled) / np.linalg.norm(pooled)))
+        assert worst <= 0.02
+
     def test_full_frame_patch(self):
         img = Image(np.full((48, 40), 0.2))
         p = full_frame_patch(img)
@@ -98,6 +173,50 @@ class TestDescribeCorpus:
             path = tmp_path / f"{dset.image_id}.kdesc"
             save_descriptors(path, dset)
             assert np.array_equal(dset.values, load_descriptors(path).values), dset.image_id
+
+
+class TestDescriptorPathsAgree:
+    def test_one_codebook_gives_identical_per_query_ap(self, tmp_path):
+        generate_corpus(tmp_path, n_base=6, seed=42)
+        corpus = load_corpus(tmp_path)
+        cfg = PipelineConfig()
+        derived = describe_corpus(corpus, cfg)
+        embedded = [
+            DescriptorSet(dset.image_id, dset.meta, embedded_copies(img, cfg).astype(np.float32))
+            for dset, (_, img) in zip(derived, corpus)
+        ]
+        pca, gmm = train_codebook(derived, cfg)
+        entries = [encode_sets(pca, gmm, sets, cfg) for sets in (derived, embedded)]
+        for a, b in zip(*entries):
+            np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-6)
+        gt = load_ground_truth(tmp_path / "groundtruth.csv")
+        rows = [evaluate_index(index_mod.build(e), gt, "map")[0] for e in entries]
+        assert len(rows[0]) == 6
+        assert rows[0] == rows[1]
+
+
+class TestTrainCodebook:
+    def test_training_matrix_is_freed_before_em(self, monkeypatch):
+        # numpy reports its buffers to tracemalloc. When EM starts, only the
+        # projected rows (20,000 x 16 f64, 2.6 MB) should remain of training;
+        # the stacked input (20,000 x 128 f64) would be another 20.5 MB.
+        rng = np.random.default_rng(115)
+        meta = [DescriptorMeta(0, 0, 0, 16, 16, 0, 0.0)] * 2000
+        sets = [
+            DescriptorSet(f"im{i}", meta, rng.standard_normal((2000, 128))) for i in range(10)
+        ]
+        held = []
+
+        def record(data, components, seed):
+            held.append(tracemalloc.get_traced_memory()[0] - data.nbytes)
+
+        monkeypatch.setattr(encode, "gmm_train", record)
+        tracemalloc.start()
+        try:
+            train_codebook(sets, PipelineConfig(pca_dim=16))
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] < 2**20
 
 
 class TestEvaluateIndex:

@@ -15,13 +15,22 @@ from patchkernel.proposals import (
     rotation_stack,
     write_patches_csv,
 )
-from patchkernel.raster import Image, resize_bilinear
+from patchkernel.raster import Image, _rotate_crop_array, resize_bilinear
 
 
 def blob_image(side=128, cy=40, cx=88, sigma=9.0) -> Image:
     yy, xx = np.mgrid[0:side, 0:side].astype(float)
     blob = 0.8 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
     return Image(np.clip(blob + 0.05, 0.0, 1.0))
+
+
+def per_patch_pair(base: np.ndarray) -> tuple[np.ndarray, int]:
+    """Oracle for one patch's pair: the quarter turn with the smallest bytes
+    (the first on a tie) and its 45-degree tilt, both clipped."""
+    turn = min(range(4), key=lambda k: np.rot90(base, k).tobytes())
+    canonical = np.rot90(base, turn)
+    tilted = resize_bilinear(_rotate_crop_array(canonical, 45.0), PATCH_SIDE, PATCH_SIDE)
+    return np.clip(np.stack([canonical, tilted]), 0.0, 1.0), turn
 
 
 def brute_force_best_window(img: Image, scales, stride_of) -> tuple[float, int, int, int]:
@@ -124,10 +133,12 @@ class TestPropose:
 class TestAugmentRotations:
     def test_constant_patch_eight_identical(self):
         img = Image(np.full((64, 64), 0.6))
-        stack = augment_rotations(img, [Patch(x=8, y=8, w=32, h=32, objectness=0.1)])
-        assert stack.shape == (1, 8, PATCH_SIDE, PATCH_SIDE)
+        pairs, turns = augment_rotations(img, [Patch(x=8, y=8, w=32, h=32, objectness=0.1)])
+        assert pairs.shape == (1, 2, PATCH_SIDE, PATCH_SIDE)
+        assert turns.tolist() == [0]  # all four quarter turns tie
         for j in range(8):
-            np.testing.assert_allclose(stack[0, j], 0.6, atol=1e-12)
+            copy = np.rot90(pairs[0, j % 2], j // 2 - turns[0])
+            np.testing.assert_allclose(copy, 0.6, atol=1e-12)
 
     def test_quarter_turn_composition_bit_exact(self):
         rng = np.random.default_rng(13)
@@ -156,9 +167,22 @@ class TestAugmentRotations:
     def test_rasters_in_range(self):
         rng = np.random.default_rng(15)
         img = Image(rng.random((80, 80)))
-        stack = augment_rotations(img, [Patch(x=10, y=6, w=48, h=48, objectness=0.0)])
-        assert stack.shape == (1, 8, PATCH_SIDE, PATCH_SIDE)
-        assert stack.min() >= 0.0 and stack.max() <= 1.0
+        pairs, turns = augment_rotations(img, [Patch(x=10, y=6, w=48, h=48, objectness=0.0)])
+        assert pairs.shape == (1, 2, PATCH_SIDE, PATCH_SIDE)
+        assert turns.shape == (1,)
+        assert pairs.min() >= 0.0 and pairs.max() <= 1.0
+
+    def test_quarter_turned_patch_keeps_its_pair_and_shifts_its_turn(self):
+        rng = np.random.default_rng(18)
+        frame = Patch(x=0, y=0, w=PATCH_SIDE, h=PATCH_SIDE, objectness=0.0)
+        for _ in range(8):
+            base = rng.random((PATCH_SIDE, PATCH_SIDE))
+            pairs, turns = augment_rotations(Image(base), [frame])
+            assert pairs.tobytes() == per_patch_pair(base)[0].tobytes()
+            for q in (1, 2, 3, -1):
+                turned_pairs, turned = augment_rotations(Image(np.rot90(base, q)), [frame])
+                assert turned_pairs.tobytes() == pairs.tobytes()
+                assert turned.tolist() == [(turns[0] - q) % 4]
 
     def test_patch_outside_image_rejected(self):
         img = Image(np.zeros((32, 32)) + 0.5)
@@ -186,8 +210,13 @@ class TestAugmentRotations:
         windows = [img.pixels[p.y : p.y + p.h, p.x : p.x + p.w] for p in patches]
         bases = [resize_bilinear(window, PATCH_SIDE, PATCH_SIDE) for window in windows]
         assert np.array_equal(patch_rasters(img, patches), np.stack(bases))
-        oracle = np.stack([rotation_stack(base) for base in bases])
-        assert np.array_equal(augment_rotations(img, patches), oracle)
+        pairs, turns = augment_rotations(img, patches)
+        oracle = [per_patch_pair(base) for base in bases]
+        assert np.array_equal(pairs, np.stack([pair for pair, _ in oracle]))
+        assert turns.tolist() == [turn for _, turn in oracle]
+        # the canonical raster is one of rotation_stack's own quarter turns
+        stacks = rotation_stack(np.stack(bases))
+        assert np.array_equal(pairs[:, 0], stacks[np.arange(len(bases)), 2 * turns])
 
     def test_patch_validation(self):
         with pytest.raises(ValueError):
