@@ -182,10 +182,12 @@ class DescriptorSet:
 
     image_id: str
     meta: list[DescriptorMeta]
-    values: np.ndarray  # (n, dim)
+    values: np.ndarray  # (n, dim); float32 or float64 as given, any other dtype widens to float64
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = np.asarray(self.values)
+        if self.values.dtype not in (np.float32, np.float64):
+            self.values = self.values.astype(np.float64)
         if self.values.ndim != 2 or self.values.shape[0] == 0:
             raise ValueError("descriptor set must be a non-empty (n, dim) matrix")
         if len(self.meta) != self.values.shape[0]:

@@ -28,7 +28,14 @@ from .embed import (
     save_descriptors,
 )
 from .errors import StageError
-from .proposals import Patch, ProposalConfig, augment_rotations, patch_rasters, propose
+from .proposals import (
+    MIN_PATCH_SIDE,
+    Patch,
+    ProposalConfig,
+    augment_rotations,
+    patch_rasters,
+    propose,
+)
 from .raster import Image, read_pgm
 
 THREADS_ENV_VAR = "KCNN_THREADS"
@@ -178,8 +185,13 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
     descriptor path. With rotations on, two rasters per patch are embedded
     and the other six copies are derived by a column permutation
     (embed.quarter_turn_copies); rows stay in (patch_id, rotation_index)
-    order, copy j being the patch turned by 45 j degrees.
+    order, copy j being the patch turned by 45 j degrees. An image with a side
+    below MIN_PATCH_SIDE is refused before any work, in either mode.
     """
+    if min(img.width, img.height) < MIN_PATCH_SIDE:
+        raise ValueError(
+            f"image {img.width}x{img.height} is below the {MIN_PATCH_SIDE}-px minimum patch side"
+        )
     if cfg.use_proposals:
         patches = propose(img, cfg.proposal_config())
     else:

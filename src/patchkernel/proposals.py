@@ -99,6 +99,46 @@ def _box_sum(ii: np.ndarray, y: int, x: int, h: int, w: int) -> float:
     return ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]
 
 
+# Windows NMS compares in one block: its IoU temporaries stay a few hundred KB.
+_NMS_BLOCK = 256
+
+
+def _greedy_nms(
+    y: np.ndarray, x: np.ndarray, side: np.ndarray, threshold: float, n: int
+) -> np.ndarray:
+    """Positions of the square windows greedy NMS keeps, at most n, in the given order.
+
+    Each kept window drops every later one whose IoU with it is >= threshold.
+    Windows go in blocks: the kept ones (at most n) first drop what they
+    suppress in a block, then the block's own IoU matrix decides the rest, so
+    memory stays linear in the window count. IoU is the integer intersection
+    over the integer union in one true division: the float iou() returns, as
+    both stay below 2**53.
+    """
+    right, bottom, area = x + side, y + side, side * side
+
+    def suppresses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        a = a[:, None]
+        ix = np.minimum(right[a], right[b]) - np.maximum(x[a], x[b])
+        iy = np.minimum(bottom[a], bottom[b]) - np.maximum(y[a], y[b])
+        inter = np.maximum(ix, 0) * np.maximum(iy, 0)
+        return inter / (area[a] + area[b] - inter) >= threshold
+
+    kept: list[int] = []
+    for start in range(0, len(y), _NMS_BLOCK):
+        rows = np.arange(start, min(start + _NMS_BLOCK, len(y)))
+        rows = rows[~suppresses(np.array(kept, dtype=np.intp), rows).any(axis=0)]
+        within = suppresses(rows, rows)
+        alive = np.ones(len(rows), dtype=bool)
+        for i in range(len(rows)):
+            if alive[i]:
+                kept.append(rows[i])
+                if len(kept) == n:
+                    return np.array(kept, dtype=np.intp)
+                alive &= ~within[i]
+    return np.array(kept, dtype=np.intp)
+
+
 def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
     """Top-N object-like windows after greedy NMS, scores non-increasing.
 
@@ -116,47 +156,59 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
     ii = np.zeros((img.height + 1, img.width + 1))
     np.cumsum(np.cumsum(omap, axis=0), axis=1, out=ii[1:, 1:])
 
-    candidates: list[tuple[float, int, int, int]] = []
+    scores, ys, xs, sides = [], [], [], []
     for scale in scales:
         stride = max(1, scale // 4)
-        ys = np.arange(0, img.height - scale + 1, stride)
-        xs = np.arange(0, img.width - scale + 1, stride)
-        yy, xx = np.meshgrid(ys, xs, indexing="ij")
-        scores = _center_ring_score(ii, xx, yy, scale, scale)
-        for r, c in zip(*np.nonzero(scores > 0.0)):
-            candidates.append((float(scores[r, c]), int(yy[r, c]), int(xx[r, c]), scale))
+        yy, xx = np.meshgrid(
+            np.arange(0, img.height - scale + 1, stride),
+            np.arange(0, img.width - scale + 1, stride),
+            indexing="ij",
+        )
+        grid = _center_ring_score(ii, xx, yy, scale, scale)
+        positive = grid > 0.0
+        scores.append(grid[positive])
+        ys.append(yy[positive])
+        xs.append(xx[positive])
+        sides.append(np.full(np.count_nonzero(positive), scale))
+    score, y, x, side = (np.concatenate(parts) for parts in (scores, ys, xs, sides))
+    # Each (y, x, side) is unique, so this key leaves no ties.
+    order = np.lexsort((side, x, y, -score))
+    score, y, x, side = score[order], y[order], x[order], side[order]
+    kept = _greedy_nms(y, x, side, cfg.nms_iou, cfg.n)
 
-    candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2], cand[3]))
-
-    kept: list[tuple[float, int, int, int]] = []
-    kept_rects: list[tuple[int, int, int, int]] = []
-    for score, y, x, scale in candidates:
-        rect = (x, y, scale, scale)
-        if all(iou(rect, other) < cfg.nms_iou for other in kept_rects):
-            kept.append((score, y, x, scale))
-            kept_rects.append(rect)
-            if len(kept) == cfg.n:
-                break
-
-    patches = [Patch(x=x, y=y, w=s, h=s, objectness=score) for score, y, x, s in kept]
+    patches = [
+        Patch(x=px, y=py, w=ps, h=ps, objectness=pscore)
+        for pscore, py, px, ps in zip(
+            score[kept].tolist(), y[kept].tolist(), x[kept].tolist(), side[kept].tolist()
+        )
+    ]
     if len(patches) < cfg.n:
         frame = (0, 0, img.width, img.height)
         if frame not in (p.rect() for p in patches):
-            score = _center_ring_score(ii, 0, 0, img.width, img.height)
+            frame_score = _center_ring_score(ii, 0, 0, img.width, img.height)
             patches.append(
-                Patch(x=0, y=0, w=img.width, h=img.height, objectness=float(score))
+                Patch(x=0, y=0, w=img.width, h=img.height, objectness=float(frame_score))
             )
     return patches
 
 
 def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
-    """Crop each patch from the image and resize it to P x P: an (n, P, P) array."""
-    out = np.empty((len(patches), PATCH_SIDE, PATCH_SIDE))
+    """Crop each patch from the image and resize it to P x P: an (n, P, P) array.
+
+    Windows of one size are stacked and resized in one call; a P x P window
+    is copied verbatim.
+    """
+    groups: dict[tuple[int, int], list[int]] = {}
     for i, p in enumerate(patches):
         if p.x + p.w > img.width or p.y + p.h > img.height:
             raise ValueError(f"patch {p.rect()} exceeds {img.width}x{img.height} image")
-        window = img.pixels[p.y : p.y + p.h, p.x : p.x + p.w]
-        out[i] = resize_bilinear(window, PATCH_SIDE, PATCH_SIDE)
+        groups.setdefault((p.h, p.w), []).append(i)
+    out = np.empty((len(patches), PATCH_SIDE, PATCH_SIDE))
+    for (h, w), members in groups.items():
+        windows = np.lib.stride_tricks.sliding_window_view(img.pixels, (h, w))
+        ys = [patches[i].y for i in members]
+        xs = [patches[i].x for i in members]
+        out[members] = resize_bilinear(windows[ys, xs], PATCH_SIDE, PATCH_SIDE)
     return out
 
 

@@ -154,6 +154,17 @@ class TestDescribeImage:
         p = full_frame_patch(img)
         assert p.rect() == (0, 0, 40, 48)
 
+    @pytest.mark.parametrize("use_proposals", [True, False], ids=["proposals", "global-baseline"])
+    def test_image_below_patch_minimum_refused_by_size(self, use_proposals):
+        rng = np.random.default_rng(21)
+        cfg = PipelineConfig(use_proposals=use_proposals)
+        for side in (8, 15):
+            img = Image(rng.random((side, side + 4)))
+            with pytest.raises(ValueError, match=f"image {side + 4}x{side} .*16-px minimum"):
+                describe_image("small", img, cfg)
+        dset = describe_image("small", Image(rng.random((16, 16))), cfg)
+        assert dset.values.shape[1] == 128
+
 
 class TestDescribeCorpus:
     @pytest.fixture(scope="class")
@@ -161,6 +172,28 @@ class TestDescribeCorpus:
         out = tmp_path_factory.mktemp("corpus")
         generate_corpus(out, n_base=1, seed=42)
         return load_corpus(out)[:3]
+
+    def test_float32_sets_give_the_float64_artifacts(self, corpus, tmp_path):
+        # Sets kept in float32 train and encode exactly as their float64 widening.
+        cfg = PipelineConfig(pca_dim=16, gmm_components=4)
+        sets = describe_corpus(corpus, cfg)
+        assert all(dset.values.dtype == np.float32 for dset in sets)
+        wide = [DescriptorSet(d.image_id, d.meta, d.values.astype(np.float64)) for d in sets]
+        written = []
+        for name, chosen in (("f32", sets), ("f64", wide)):
+            pca, gmm = train_codebook(chosen, cfg)
+            encode.save_model(tmp_path / f"{name}.kmdl", pca, gmm)
+            entries = encode_sets(pca, gmm, chosen, cfg)
+            index_mod.save(tmp_path / f"{name}.kidx", index_mod.build(entries))
+            written.append([(tmp_path / f"{name}.{ext}").read_bytes() for ext in ("kmdl", "kidx")])
+        assert written[0] == written[1]
+
+    def test_other_dtypes_widen_to_float64(self):
+        meta = [DescriptorMeta(0, 0, 0, 16, 16, 0, 0.0)]
+        for given, kept in ((np.float32, np.float32), (np.float64, np.float64),
+                            (np.float16, np.float64), (np.int64, np.float64)):
+            dset = DescriptorSet("a", meta, np.ones((1, 4), dtype=given))
+            assert dset.values.dtype == kept, given
 
     @pytest.mark.parametrize(
         "cfg",

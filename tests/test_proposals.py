@@ -1,5 +1,7 @@
 """Objectness map, window proposals, NMS, and rotation augmentation tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from patchkernel.embed import PATCH_SIDE
 from patchkernel.proposals import (
     Patch,
     ProposalConfig,
+    _center_ring_score,
     augment_rotations,
     iou,
     objectness_map,
@@ -16,12 +19,70 @@ from patchkernel.proposals import (
     write_patches_csv,
 )
 from patchkernel.raster import Image, _rotate_crop_array, resize_bilinear
+from patchkernel.synth import make_base_image
 
 
 def blob_image(side=128, cy=40, cx=88, sigma=9.0) -> Image:
     yy, xx = np.mgrid[0:side, 0:side].astype(float)
     blob = 0.8 * np.exp(-((yy - cy) ** 2 + (xx - cx) ** 2) / (2 * sigma**2))
     return Image(np.clip(blob + 0.05, 0.0, 1.0))
+
+
+def reference_propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
+    """Oracle for propose: every positive window as a Python tuple, one sort on
+    (-score, y, x, side), and greedy NMS through iou() against each kept rect."""
+    omap = objectness_map(img)
+    ii = np.zeros((img.height + 1, img.width + 1))
+    np.cumsum(np.cumsum(omap, axis=0), axis=1, out=ii[1:, 1:])
+    candidates = []
+    for scale in cfg.resolved_scales(img):
+        stride = max(1, scale // 4)
+        ys = np.arange(0, img.height - scale + 1, stride)
+        xs = np.arange(0, img.width - scale + 1, stride)
+        yy, xx = np.meshgrid(ys, xs, indexing="ij")
+        scores = _center_ring_score(ii, xx, yy, scale, scale)
+        for r, c in zip(*np.nonzero(scores > 0.0)):
+            candidates.append((float(scores[r, c]), int(yy[r, c]), int(xx[r, c]), scale))
+    candidates.sort(key=lambda cand: (-cand[0], cand[1], cand[2], cand[3]))
+    kept = []
+    for score, y, x, scale in candidates:
+        rect = (x, y, scale, scale)
+        if all(iou(rect, other.rect()) < cfg.nms_iou for other in kept):
+            kept.append(Patch(x=x, y=y, w=scale, h=scale, objectness=score))
+            if len(kept) == cfg.n:
+                return kept
+    if (0, 0, img.width, img.height) not in (p.rect() for p in kept):
+        score = _center_ring_score(ii, 0, 0, img.width, img.height)
+        kept.append(Patch(x=0, y=0, w=img.width, h=img.height, objectness=float(score)))
+    return kept
+
+
+def oracle_images() -> dict[str, Image]:
+    """Random, blob, synth and tiled scenes, each square and 96 x 160.
+
+    The tiled scene repeats a 16-px cell in eighths, so its box sums are exact
+    and many windows tie on score: the (y, x, side) tie-break decides.
+    """
+    rng = np.random.default_rng(19)
+    images = {}
+    for h, w in ((96, 96), (96, 160)):
+        yy, xx = np.mgrid[0:h, 0:w]
+        blob = 0.05 + 0.8 * np.exp(-((yy - h / 3) ** 2 + (xx - w / 2) ** 2) / 200.0)
+        cell = np.cos(2 * np.pi * xx / 16) * np.cos(2 * np.pi * yy / 16)
+        images[f"tiled-{h}x{w}"] = Image(np.round(4 + 4 * cell) / 8)
+        images[f"random-{h}x{w}"] = Image(rng.random((h, w)))
+        images[f"blob-{h}x{w}"] = Image(np.clip(blob + 0.05 * rng.random((h, w)), 0.0, 1.0))
+        images[f"synth-{h}x{w}"] = Image(make_base_image(rng, max(h, w)).pixels[:h, :w])
+    return images
+
+
+ORACLE_IMAGES = oracle_images()
+
+
+def per_patch_crops(img: Image, patches: list[Patch]) -> np.ndarray:
+    """Oracle for patch_rasters: crop and resize one window at a time."""
+    windows = [img.pixels[p.y : p.y + p.h, p.x : p.x + p.w] for p in patches]
+    return np.stack([resize_bilinear(window, PATCH_SIDE, PATCH_SIDE) for window in windows])
 
 
 def per_patch_pair(base: np.ndarray) -> tuple[np.ndarray, int]:
@@ -130,6 +191,75 @@ class TestPropose:
             ProposalConfig(scales=(8,))
 
 
+class TestProposeMatchesReference:
+    @pytest.mark.parametrize("scales", [None, (16, 24, 40)], ids=["default-scales", "16-24-40"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_IMAGES))
+    def test_identical_patches(self, name, scales):
+        img = ORACLE_IMAGES[name]
+        for n in (1, 5, 127, 300):
+            for nms_iou in (0.1, 0.5, 0.9):
+                cfg = ProposalConfig(n=n, scales=scales, nms_iou=nms_iou)
+                got = propose(img, cfg)
+                assert got == reference_propose(img, cfg), (n, nms_iou)
+                assert all(type(v) is int for p in got for v in p.rect())
+                assert all(type(p.objectness) is float for p in got)
+
+    def test_iou_at_the_threshold_suppresses(self):
+        # A 32-px window inside a 64-px one has an IoU of exactly 0.25.
+        cfg = ProposalConfig(nms_iou=0.25)
+        for img in ORACLE_IMAGES.values():
+            assert propose(img, cfg) == reference_propose(img, cfg)
+
+    def test_constant_image_takes_the_fallback(self):
+        img = Image(np.full((96, 160), 0.3))
+        for n in (1, 127):
+            cfg = ProposalConfig(n=n)
+            got = propose(img, cfg)
+            assert got == reference_propose(img, cfg)
+            assert [p.rect() for p in got] == [(0, 0, 160, 96)]
+
+    def test_memory_linear_in_window_count(self):
+        # ~60k windows at sides 16 and 32; a window-by-window IoU matrix
+        # would need gigabytes.
+        img = Image(np.random.default_rng(20).random((768, 1024)))
+        cfg = ProposalConfig(scales=(16, 32))
+        tracemalloc.start()
+        try:
+            patches = propose(img, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(patches) == cfg.n
+        assert peak < 64 * 2**20
+
+
+class TestPatchRasters:
+    def test_equal_per_patch_resize_bit_exact(self):
+        img = ORACLE_IMAGES["synth-96x160"]
+        patches = [
+            Patch(x=0, y=0, w=160, h=96, objectness=0.0),  # the full frame
+            Patch(x=128, y=64, w=32, h=32, objectness=0.0),  # flush right and bottom
+            Patch(x=3, y=5, w=PATCH_SIDE, h=PATCH_SIDE, objectness=0.0),
+            Patch(x=96, y=32, w=64, h=64, objectness=0.0),  # flush right and bottom
+            Patch(x=10, y=7, w=40, h=24, objectness=0.0),
+            Patch(x=17, y=0, w=64, h=64, objectness=0.0),
+            Patch(x=120, y=70, w=40, h=24, objectness=0.0),
+        ]
+        got = patch_rasters(img, patches)
+        assert got.tobytes() == per_patch_crops(img, patches).tobytes()
+        assert np.array_equal(got[2], img.pixels[5 : 5 + PATCH_SIDE, 3 : 3 + PATCH_SIDE])
+
+    def test_out_of_bounds_patch_named(self):
+        img = Image(np.zeros((32, 48)) + 0.5)
+        patches = [
+            Patch(x=0, y=0, w=16, h=16, objectness=0.0),
+            Patch(x=16, y=0, w=32, h=32, objectness=0.0),
+            Patch(x=24, y=0, w=32, h=16, objectness=0.0),
+        ]
+        with pytest.raises(ValueError, match=r"patch \(24, 0, 32, 16\) exceeds 48x32 image"):
+            patch_rasters(img, patches)
+
+
 class TestAugmentRotations:
     def test_constant_patch_eight_identical(self):
         img = Image(np.full((64, 64), 0.6))
@@ -207,15 +337,14 @@ class TestAugmentRotations:
         img = Image(np.clip(blob_image().pixels + 0.1 * rng.random((128, 128)), 0.0, 1.0))
         patches = propose(img, ProposalConfig(n=40))
         assert len({p.w for p in patches}) > 1
-        windows = [img.pixels[p.y : p.y + p.h, p.x : p.x + p.w] for p in patches]
-        bases = [resize_bilinear(window, PATCH_SIDE, PATCH_SIDE) for window in windows]
-        assert np.array_equal(patch_rasters(img, patches), np.stack(bases))
+        bases = per_patch_crops(img, patches)
+        assert np.array_equal(patch_rasters(img, patches), bases)
         pairs, turns = augment_rotations(img, patches)
         oracle = [per_patch_pair(base) for base in bases]
         assert np.array_equal(pairs, np.stack([pair for pair, _ in oracle]))
         assert turns.tolist() == [turn for _, turn in oracle]
         # the canonical raster is one of rotation_stack's own quarter turns
-        stacks = rotation_stack(np.stack(bases))
+        stacks = rotation_stack(bases)
         assert np.array_equal(pairs[:, 0], stacks[np.arange(len(bases)), 2 * turns])
 
     def test_patch_validation(self):
