@@ -221,15 +221,20 @@ def _record_dtype(dim: int) -> np.dtype:
 def save_descriptors(path: str | Path, dset: DescriptorSet) -> None:
     """Write a KDESC file (little-endian, f32 descriptor payload)."""
     dim = dset.dim
-    records = np.empty(len(dset.meta), dtype=_record_dtype(dim))
-    for i, m in enumerate(dset.meta):
-        if not 0 <= m.rotation_index < ROTATION_COUNT:
-            raise ValueError(
-                f"record {i}: rotation index {m.rotation_index} not in 0..{ROTATION_COUNT - 1}"
-            )
-        records[i] = (m.patch_id, m.x, m.y, m.w, m.h, m.rotation_index, m.objectness, 0.0)
+    meta = dset.meta
+    rotations = np.array([m.rotation_index for m in meta])
+    bad = (rotations < 0) | (rotations >= ROTATION_COUNT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"record {i}: rotation index {meta[i].rotation_index} not in 0..{ROTATION_COUNT - 1}"
+        )
+    records = np.empty(len(meta), dtype=_record_dtype(dim))
+    for name in ("patch_id", "x", "y", "w", "h", "objectness"):
+        records[name] = [getattr(m, name) for m in meta]
+    records["rotation_index"] = rotations
     records["values"] = dset.values.astype("<f4")
-    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dim, len(dset.meta))
+    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dim, len(meta))
     Path(path).write_bytes(header + records.tobytes())
 
 

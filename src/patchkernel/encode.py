@@ -140,11 +140,31 @@ def pca_project(model: PCAModel, vectors: np.ndarray) -> np.ndarray:
 
 def _kmeanspp_centers(data: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
     """D^2-weighted seeding: each new center is drawn proportionally to the
-    squared distance from the nearest already-chosen one."""
-    n = data.shape[0]
-    centers = np.empty((count, data.shape[1]))
+    squared distance from the nearest already-chosen one.
+
+    A center's squared distances are |x|^2 - 2 x.c + |c|^2: one matrix-vector
+    product against row norms computed once. A distance within rounding of
+    zero counts as exactly 0, so a row equal to a chosen center is never
+    drawn, and once every row equals one the next center is drawn uniformly.
+    """
+    n, dim = data.shape
+    sq_norms = np.einsum("ij,ij->i", data, data)
+    # Rounding bound, to first order in u = 2^-53: |x|^2 errs by at most
+    # D u |x|^2, 2 x.c by D u (|x|^2 + |c|^2) (as 2 |x.c| <= |x|^2 + |c|^2)
+    # and |c|^2 by D u |c|^2; each of the two additions rounds a result of at
+    # most 2 (|x|^2 + |c|^2). In all 2 (D + 2) u (|x|^2 + |c|^2), so a
+    # computed distance at or below it may be a true 0.
+    slack = (dim + 2) * np.finfo(np.float64).eps  # 2 (D + 2) u
+
+    def sq_dist(center: np.ndarray) -> np.ndarray:
+        c2 = center @ center
+        d2 = sq_norms - 2.0 * (data @ center) + c2
+        d2[d2 <= slack * (sq_norms + c2)] = 0.0
+        return d2
+
+    centers = np.empty((count, dim))
     centers[0] = data[rng.integers(n)]
-    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    d2 = sq_dist(centers[0])
     for k in range(1, count):
         total = d2.sum()
         if total > 0:
@@ -152,7 +172,7 @@ def _kmeanspp_centers(data: np.ndarray, count: int, rng: np.random.Generator) ->
         else:
             idx = rng.integers(n)
         centers[k] = data[idx]
-        d2 = np.minimum(d2, np.sum((data - centers[k]) ** 2, axis=1))
+        np.minimum(d2, sq_dist(centers[k]), out=d2)
     return centers
 
 

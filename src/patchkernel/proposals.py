@@ -19,6 +19,10 @@ from .raster import Image, _rotate_crop_array, resize_bilinear
 MIN_PATCH_SIDE = 16
 DEFAULT_SCALES = (32, 64, 128)
 ROTATION_STEP_DEG = 45.0
+# patch_rasters copies at most this many window pixels (1 MB of float64) at
+# once. At default flags a 128 x 128 image keeps at most 127 windows of 32
+# px, 25 of 64 px and 1 of 128 px, so none of its size groups is split.
+_GATHER_PIXELS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,8 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
 def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
     """Crop each patch from the image and resize it to P x P: an (n, P, P) array.
 
-    Windows of one size are stacked and resized in one call; a P x P window
+    Windows of one size are stacked and resized together, in blocks of at
+    most _GATHER_PIXELS window pixels (one window at least); a P x P window
     is copied verbatim.
     """
     groups: dict[tuple[int, int], list[int]] = {}
@@ -206,9 +211,12 @@ def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
     out = np.empty((len(patches), PATCH_SIDE, PATCH_SIDE))
     for (h, w), members in groups.items():
         windows = np.lib.stride_tricks.sliding_window_view(img.pixels, (h, w))
-        ys = [patches[i].y for i in members]
-        xs = [patches[i].x for i in members]
-        out[members] = resize_bilinear(windows[ys, xs], PATCH_SIDE, PATCH_SIDE)
+        step = max(1, _GATHER_PIXELS // (h * w))
+        for start in range(0, len(members), step):
+            block = members[start : start + step]
+            ys = [patches[i].y for i in block]
+            xs = [patches[i].x for i in block]
+            out[block] = resize_bilinear(windows[ys, xs], PATCH_SIDE, PATCH_SIDE)
     return out
 
 

@@ -14,6 +14,7 @@ from patchkernel.embed import (
     PATCH_SIDE,
     DescriptorMeta,
     DescriptorSet,
+    _record_dtype,
     cosine,
     embed_image_global,
     embed_patch,
@@ -269,6 +270,19 @@ class TestKdesc:
         np.testing.assert_allclose(back.values, dset.values, atol=1e-7)
         np.testing.assert_allclose(np.linalg.norm(back.values, axis=1), 1.0, atol=1e-6)
 
+    def test_bytes_equal_per_record_writer(self, tmp_path):
+        # the former writer: one structured record assigned per row
+        rng = np.random.default_rng(32)
+        dset = make_set(rng, count=40)
+        dset.meta[7] = dataclasses.replace(dset.meta[7], x=2**32 - 1, objectness=float(rng.random()))
+        records = np.empty(len(dset.meta), dtype=_record_dtype(dset.dim))
+        for i, m in enumerate(dset.meta):
+            records[i] = (m.patch_id, m.x, m.y, m.w, m.h, m.rotation_index, m.objectness, 0.0)
+        records["values"] = dset.values.astype("<f4")
+        path = tmp_path / "img000.kdesc"
+        save_descriptors(path, dset)
+        assert path.read_bytes() == struct.pack("<4sIII", b"KDSC", 1, dset.dim, 40) + records.tobytes()
+
     def test_reexport_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(28)
         save_descriptors(tmp_path / "a.kdesc", make_set(rng))
@@ -398,6 +412,7 @@ class TestKdesc:
         rng = np.random.default_rng(30)
         dset = make_set(rng)
         dset.meta[3] = dataclasses.replace(dset.meta[3], rotation_index=rotation_index)
+        dset.meta[5] = dataclasses.replace(dset.meta[5], rotation_index=9)  # only the first is named
         path = tmp_path / "rot.kdesc"
         with pytest.raises(ValueError, match=f"record 3: rotation index {rotation_index} not in 0..7"):
             save_descriptors(path, dset)

@@ -51,6 +51,31 @@ def log_density(model: GMMModel, x: np.ndarray) -> float:
     return float(total)
 
 
+def reference_kmeanspp(data: np.ndarray, count: int, rng) -> np.ndarray:
+    """k-means++ seeding with each distance summed from the differences."""
+    n = data.shape[0]
+    centers = np.empty((count, data.shape[1]))
+    centers[0] = data[rng.integers(n)]
+    d2 = np.sum((data - centers[0]) ** 2, axis=1)
+    for k in range(1, count):
+        total = d2.sum()
+        if total > 0:
+            idx = rng.choice(n, p=d2 / total)
+        else:
+            idx = rng.integers(n)
+        centers[k] = data[idx]
+        d2 = np.minimum(d2, np.sum((data - centers[k]) ** 2, axis=1))
+    return centers
+
+
+@pytest.fixture(scope="module")
+def seed1_sets(tmp_path_factory):
+    """The described 20-scene seed-1 synth corpus at default flags."""
+    corpus = tmp_path_factory.mktemp("seed1")
+    generate_corpus(corpus, n_base=20, seed=1)
+    return describe_corpus(load_corpus(corpus), PipelineConfig())
+
+
 class TestPcaTrain:
     def test_rank_one_line_recovered(self):
         rng = np.random.default_rng(30)
@@ -218,10 +243,8 @@ class TestGmmTrain:
         reference = float(np.mean([log_density(model, x) for x in data]))
         assert model.log_likelihoods[-1] == pytest.approx(reference, rel=1e-12)
 
-    def test_default_build_stops_on_tolerance(self, tmp_path):
-        generate_corpus(tmp_path, n_base=20, seed=1)
-        cfg = PipelineConfig()
-        _, model = train_codebook(describe_corpus(load_corpus(tmp_path), cfg), cfg)
+    def test_default_build_stops_on_tolerance(self, seed1_sets):
+        _, model = train_codebook(seed1_sets, PipelineConfig())
         assert len(model.log_likelihoods) < EM_MAX_ITER
 
     def test_empty_component_keeps_its_initialisation(self, monkeypatch):
@@ -251,6 +274,71 @@ class TestGmmTrain:
         assert abs(np.linalg.norm(fv.values) - 1.0) <= 1e-12
         blocks = fv.values.reshape(2, 4, 2)[:, -1]
         assert np.all(blocks == 0.0) and not np.any(np.signbit(blocks))
+
+
+class RecordingRng:
+    """Forwards to a generator and keeps every probability vector drawn from."""
+
+    def __init__(self, seed: int):
+        self.gen = np.random.default_rng(seed)
+        self.drawn: list[np.ndarray] = []
+
+    def integers(self, n):
+        return self.gen.integers(n)
+
+    def choice(self, n, p):
+        self.drawn.append(p.copy())
+        return self.gen.choice(n, p=p)
+
+
+class TestKmeansppMatchesReference:
+    def assert_same_seeding(self, data: np.ndarray, count: int, rng: RecordingRng, ref_rng) -> None:
+        centers = _kmeanspp_centers(data, count, rng)
+        assert np.array_equal(centers, reference_kmeanspp(data, count, ref_rng))
+        assert rng.gen.random() == ref_rng.random()
+        # p is D^2 / total: D^2 is never negative, and exactly 0 on every row
+        # equal to a chosen centre, so no such row is drawn. D^2 never grows,
+        # so every weighted draw comes before the first uniform one.
+        chosen = np.zeros(len(data), dtype=bool)
+        for center, p in zip(centers, rng.drawn):
+            chosen |= (data == center).all(axis=1)
+            assert np.all(p >= 0.0)
+            assert np.all(p[chosen] == 0.0)
+
+    @pytest.mark.parametrize("n, dim, count", [(40, 1, 4), (300, 7, 16), (2000, 32, 64), (64, 3, 64)])
+    def test_random_data(self, n, dim, count):
+        for seed in range(3):
+            data = np.random.default_rng(100 + seed).normal(scale=2.0, size=(n, dim))
+            self.assert_same_seeding(data, count, RecordingRng(seed), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3 / np.sqrt(8)])
+    def test_fewer_distinct_rows_than_centres(self, offset):
+        # Once every distinct row is a centre all distances are 0 and the
+        # next centre is drawn uniformly; |x|^2 - 2 x.c + |c|^2 must give
+        # exactly 0 there too, not a rounding residue.
+        for seed in range(10):
+            rng = np.random.default_rng(200 + seed)
+            data = (rng.normal(size=(3, 8)) + offset)[rng.integers(3, size=120)]
+            self.assert_same_seeding(data, 6, RecordingRng(seed), np.random.default_rng(seed))
+
+    def test_rows_far_from_the_origin(self):
+        # |x| ~ 1e3 with unit spread: the product form cancels ~6 digits
+        rng = np.random.default_rng(300)
+        data = rng.normal(size=(1000, 8)) + 1e3 / np.sqrt(8)
+        for seed in range(3):
+            self.assert_same_seeding(data, 32, RecordingRng(seed), np.random.default_rng(seed))
+
+    def test_seed1_em_sample(self, seed1_sets):
+        cfg = PipelineConfig()
+        pca = pca_train(np.vstack([d.values for d in seed1_sets]), cfg.pca_dim, whiten=cfg.whiten)
+        reduced = np.vstack([pca_project(pca, d.values) for d in seed1_sets])
+        assert reduced.shape[0] > EM_MAX_SAMPLES
+        # gmm_train's sample: drawn from the seed's generator before seeding
+        rng = RecordingRng(cfg.seed)
+        ref_rng = np.random.default_rng(cfg.seed)
+        pick = np.sort(rng.gen.choice(len(reduced), EM_MAX_SAMPLES, replace=False))
+        ref_rng.choice(len(reduced), EM_MAX_SAMPLES, replace=False)
+        self.assert_same_seeding(reduced[pick], cfg.gmm_components, rng, ref_rng)
 
 
 def e_step(model: GMMModel, data: np.ndarray):

@@ -249,6 +249,27 @@ class TestPatchRasters:
         assert got.tobytes() == per_patch_crops(img, patches).tobytes()
         assert np.array_equal(got[2], img.pixels[5 : 5 + PATCH_SIDE, 3 : 3 + PATCH_SIDE])
 
+    def test_gather_memory_bounded_on_a_large_image(self):
+        # 127 windows of 128 px would copy 16 MB whole; blocks of at most
+        # _GATHER_PIXELS window pixels keep the peak near the 1 MB output
+        img = Image(np.random.default_rng(21).random((768, 1024)))
+        rng = np.random.default_rng(22)
+        patches = [
+            Patch(x=int(x), y=int(y), w=128, h=128, objectness=0.0)
+            for x, y in zip(rng.integers(0, 897, size=127), rng.integers(0, 641, size=127))
+        ]
+        tracemalloc.start()
+        try:
+            got = patch_rasters(img, patches)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert got.tobytes() == per_patch_crops(img, patches).tobytes()
+        # a window above the block size still makes a block of its own
+        full = [Patch(x=0, y=0, w=1024, h=768, objectness=0.0)]
+        assert patch_rasters(img, full).tobytes() == per_patch_crops(img, full).tobytes()
+
     def test_out_of_bounds_patch_named(self):
         img = Image(np.zeros((32, 48)) + 0.5)
         patches = [
