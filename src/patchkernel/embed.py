@@ -9,7 +9,7 @@ the KDESC container instead.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,17 +163,19 @@ def sum_pool(descriptors: np.ndarray) -> np.ndarray:
     return descriptors[order].sum(axis=0)
 
 
-@dataclass(frozen=True)
-class DescriptorMeta:
-    """Provenance of one descriptor: source patch and rotation copy."""
-
-    patch_id: int
-    x: int
-    y: int
-    w: int
-    h: int
-    rotation_index: int
-    objectness: float
+# Provenance of one descriptor row: its source patch and rotation copy. A KDESC
+# record is these fields followed by the f32 values.
+META_DTYPE = np.dtype(
+    [
+        ("patch_id", "<u4"),
+        ("x", "<u4"),
+        ("y", "<u4"),
+        ("w", "<u4"),
+        ("h", "<u4"),
+        ("rotation_index", "u1"),
+        ("objectness", "<f4"),
+    ]
+)
 
 
 @dataclass
@@ -181,7 +183,7 @@ class DescriptorSet:
     """All descriptors of one image, ordered by (patch_id, rotation_index)."""
 
     image_id: str
-    meta: list[DescriptorMeta]
+    meta: np.recarray  # (n,) records of META_DTYPE
     values: np.ndarray  # (n, dim); float32 or float64 as given, any other dtype widens to float64
 
     def __post_init__(self) -> None:
@@ -190,6 +192,8 @@ class DescriptorSet:
             self.values = self.values.astype(np.float64)
         if self.values.ndim != 2 or self.values.shape[0] == 0:
             raise ValueError("descriptor set must be a non-empty (n, dim) matrix")
+        if not isinstance(self.meta, np.recarray) or self.meta.dtype != META_DTYPE:
+            raise ValueError("descriptor metadata must be a record array of META_DTYPE")
         if len(self.meta) != self.values.shape[0]:
             raise ValueError(
                 f"metadata rows ({len(self.meta)}) != descriptor rows ({self.values.shape[0]})"
@@ -204,37 +208,22 @@ _KDESC_HEADER = struct.Struct("<4sIII")
 
 
 def _record_dtype(dim: int) -> np.dtype:
-    return np.dtype(
-        [
-            ("patch_id", "<u4"),
-            ("x", "<u4"),
-            ("y", "<u4"),
-            ("w", "<u4"),
-            ("h", "<u4"),
-            ("rotation_index", "u1"),
-            ("objectness", "<f4"),
-            ("values", "<f4", (dim,)),
-        ]
-    )
+    return np.dtype(META_DTYPE.descr + [("values", "<f4", (dim,))])
 
 
 def save_descriptors(path: str | Path, dset: DescriptorSet) -> None:
     """Write a KDESC file (little-endian, f32 descriptor payload)."""
-    dim = dset.dim
     meta = dset.meta
-    rotations = np.array([m.rotation_index for m in meta])
-    bad = (rotations < 0) | (rotations >= ROTATION_COUNT)
+    bad = meta.rotation_index >= ROTATION_COUNT
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
-            f"record {i}: rotation index {meta[i].rotation_index} not in 0..{ROTATION_COUNT - 1}"
+            f"record {i}: rotation index {meta.rotation_index[i]} not in 0..{ROTATION_COUNT - 1}"
         )
-    records = np.empty(len(meta), dtype=_record_dtype(dim))
-    for name in ("patch_id", "x", "y", "w", "h", "objectness"):
-        records[name] = [getattr(m, name) for m in meta]
-    records["rotation_index"] = rotations
-    records["values"] = dset.values.astype("<f4")
-    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dim, len(meta))
+    records = np.empty(len(meta), dtype=_record_dtype(dset.dim))
+    records[list(META_DTYPE.names)] = meta
+    records["values"] = dset.values
+    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dset.dim, len(meta))
     Path(path).write_bytes(header + records.tobytes())
 
 
@@ -303,6 +292,5 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     off_unit = np.abs(norms - 1.0) > 1e-6
     values[off_unit] /= norms[off_unit, None]
 
-    columns = [records[f.name].tolist() for f in fields(DescriptorMeta)]
-    meta = [DescriptorMeta(*row) for row in zip(*columns)]
+    meta = records[list(META_DTYPE.names)].astype(META_DTYPE).view(np.recarray)
     return DescriptorSet(image_id=path.stem, meta=meta, values=values)

@@ -20,8 +20,8 @@ import numpy as np
 from . import encode, evaluation, index as index_mod
 from .embed import (
     DESCRIPTOR_DIM,
+    META_DTYPE,
     PATCH_SIDE,
-    DescriptorMeta,
     DescriptorSet,
     embed_patches,
     quarter_turn_copies,
@@ -58,8 +58,7 @@ class PipelineConfig:
     scales: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_proposals < 1:
-            raise ValueError(f"proposal count must be >= 1, got {self.n_proposals}")
+        self.proposal_config()  # refuses a bad proposal count, NMS threshold or window side
         if not 1 <= self.pca_dim <= DESCRIPTOR_DIM:
             raise ValueError(f"pca dim must lie in 1..{DESCRIPTOR_DIM}, got {self.pca_dim}")
         if self.gmm_components < 1:
@@ -203,11 +202,12 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
         copies = quarter_turn_copies(pair_values.reshape(len(patches), 2, -1), turns)
     else:
         copies = embed_patches(patch_rasters(img, patches))[:, None]
-    meta = [
-        DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
-        for patch_id, p in enumerate(patches)
-        for rotation_index in range(copies.shape[1])
-    ]
+    per_patch = np.array(
+        [(patch_id, *p.rect(), 0, p.objectness) for patch_id, p in enumerate(patches)],
+        dtype=META_DTYPE,
+    )
+    meta = np.repeat(per_patch, copies.shape[1]).view(np.recarray)
+    meta.rotation_index = np.tile(np.arange(copies.shape[1]), len(patches))
     values = copies.reshape(-1, DESCRIPTOR_DIM)
     return DescriptorSet(image_id=image_id, meta=meta, values=values)
 

@@ -56,6 +56,12 @@ def test_embed_writes_kdesc(corpus, tmp_path):
     assert dset.values.shape[0] % 8 == 0  # rotations on by default
 
 
+def test_embed_writes_the_pipeline_kdesc_bytes(corpus, artifacts, tmp_path):
+    out = tmp_path / "img000.kdesc"
+    assert main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST) == 0
+    assert out.read_bytes() == (artifacts / "descriptors" / "img000.kdesc").read_bytes()
+
+
 def test_embed_global_baseline_single_descriptor(corpus, tmp_path):
     out = tmp_path / "g.kdesc"
     code = main(
@@ -258,7 +264,7 @@ def test_config_file_roundtrip(tmp_path):
         config_from_file(bad)
 
 
-@pytest.mark.parametrize("line", ["n_proposals=abc", "rotations=maybe"])
+@pytest.mark.parametrize("line", ["n_proposals=abc", "rotations=maybe", "nms_iou=1.5", "scales=8"])
 def test_config_file_bad_value_names_line_and_key(line, tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"seed=7\n{line}\n")

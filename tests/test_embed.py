@@ -1,6 +1,5 @@
 """Descriptor embedder, cosine, sum pooling, and KDESC container tests."""
 
-import dataclasses
 import struct
 import tracemalloc
 import warnings
@@ -11,8 +10,8 @@ import pytest
 from patchkernel.embed import (
     DESCRIPTOR_DIM,
     ORIENT_BINS,
+    META_DTYPE,
     PATCH_SIDE,
-    DescriptorMeta,
     DescriptorSet,
     _record_dtype,
     cosine,
@@ -249,12 +248,11 @@ class TestSumPool:
 def make_set(rng, count=6, dim=DESCRIPTOR_DIM) -> DescriptorSet:
     values = rng.random((count, dim))
     values /= np.linalg.norm(values, axis=1, keepdims=True)
-    # objectness values exactly representable in f32 so metadata round-trips
-    meta = [
-        DescriptorMeta(patch_id=i // 2, x=4 * i, y=2 * i, w=32, h=32,
-                       rotation_index=i % 2, objectness=0.5 - 0.0625 * i)
-        for i in range(count)
-    ]
+    i = np.arange(count)
+    meta = np.rec.fromarrays(
+        [i // 2, 4 * i, 2 * i, np.full(count, 32), np.full(count, 32), i % 2, 0.5 - 0.0625 * i],
+        dtype=META_DTYPE,
+    )
     return DescriptorSet(image_id="img000", meta=meta, values=values)
 
 
@@ -266,7 +264,8 @@ class TestKdesc:
         save_descriptors(path, dset)
         back = load_descriptors(path)
         assert back.image_id == "img000"
-        assert back.meta == dset.meta
+        assert isinstance(back.meta, np.recarray) and back.meta.dtype == META_DTYPE
+        assert np.array_equal(back.meta, dset.meta)
         np.testing.assert_allclose(back.values, dset.values, atol=1e-7)
         np.testing.assert_allclose(np.linalg.norm(back.values, axis=1), 1.0, atol=1e-6)
 
@@ -274,7 +273,8 @@ class TestKdesc:
         # the former writer: one structured record assigned per row
         rng = np.random.default_rng(32)
         dset = make_set(rng, count=40)
-        dset.meta[7] = dataclasses.replace(dset.meta[7], x=2**32 - 1, objectness=float(rng.random()))
+        dset.meta.x[7] = 2**32 - 1
+        dset.meta.objectness[7] = rng.random()
         records = np.empty(len(dset.meta), dtype=_record_dtype(dset.dim))
         for i, m in enumerate(dset.meta):
             records[i] = (m.patch_id, m.x, m.y, m.w, m.h, m.rotation_index, m.objectness, 0.0)
@@ -411,8 +411,12 @@ class TestKdesc:
     def test_save_rejects_rotation_index_out_of_range(self, tmp_path, rotation_index):
         rng = np.random.default_rng(30)
         dset = make_set(rng)
-        dset.meta[3] = dataclasses.replace(dset.meta[3], rotation_index=rotation_index)
-        dset.meta[5] = dataclasses.replace(dset.meta[5], rotation_index=9)  # only the first is named
+        if not 0 <= rotation_index <= 255:
+            with pytest.raises(OverflowError):  # the u1 column cannot hold it
+                dset.meta.rotation_index[3] = rotation_index
+            return
+        dset.meta.rotation_index[3] = rotation_index
+        dset.meta.rotation_index[5] = 9  # only the first is named
         path = tmp_path / "rot.kdesc"
         with pytest.raises(ValueError, match=f"record 3: rotation index {rotation_index} not in 0..7"):
             save_descriptors(path, dset)
@@ -430,3 +434,8 @@ class TestKdesc:
     def test_descriptor_set_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             DescriptorSet(image_id="x", meta=[], values=np.zeros((0, 4)))
+        meta = np.zeros(2, META_DTYPE)
+        with pytest.raises(ValueError, match="record array of META_DTYPE"):
+            DescriptorSet(image_id="x", meta=meta, values=np.ones((2, 4)))
+        with pytest.raises(ValueError, match=r"metadata rows \(2\) != descriptor rows \(3\)"):
+            DescriptorSet(image_id="x", meta=meta.view(np.recarray), values=np.ones((3, 4)))

@@ -7,8 +7,8 @@ import pytest
 
 from patchkernel import encode, index as index_mod, pipeline
 from patchkernel.embed import (
+    META_DTYPE,
     PATCH_SIDE,
-    DescriptorMeta,
     DescriptorSet,
     embed_patches,
     load_descriptors,
@@ -40,6 +40,14 @@ def embedded_copies(img: Image, cfg: PipelineConfig) -> np.ndarray:
     return embed_patches(stacks.reshape(-1, PATCH_SIDE, PATCH_SIDE))
 
 
+def blob_image() -> Image:
+    """A 128 x 128 scene with one bright blob, whose proposals come in several sizes."""
+    rng = np.random.default_rng(113)
+    yy, xx = np.mgrid[0:128, 0:128]
+    blob = 0.8 * np.exp(-((yy - 40) ** 2 + (xx - 88) ** 2) / (2 * 9.0**2))
+    return Image(np.clip(blob + 0.05 + 0.1 * rng.random((128, 128)), 0.0, 1.0))
+
+
 def harmonic_patch(rng: np.random.Generator) -> np.ndarray:
     """Criterion 5's patch: a homogeneous harmonic field, self-similar about the centre."""
     yy, xx = (np.mgrid[0:PATCH_SIDE, 0:PATCH_SIDE] - 15.5) / 16.0
@@ -68,6 +76,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             PipelineConfig(normalization="power")
 
+    @pytest.mark.parametrize("use_proposals", [True, False], ids=["proposals", "global-baseline"])
+    def test_proposal_settings_checked_when_built(self, use_proposals):
+        with pytest.raises(ValueError, match="proposal count must be >= 1, got 0"):
+            PipelineConfig(n_proposals=0, use_proposals=use_proposals)
+        with pytest.raises(ValueError, match="nms_iou must lie in"):
+            PipelineConfig(nms_iou=1.5, use_proposals=use_proposals)
+        with pytest.raises(ValueError, match="every scale must be >= 16"):
+            PipelineConfig(scales=(8,), use_proposals=use_proposals)
+        with pytest.raises(ValueError, match="scales must be non-empty"):
+            PipelineConfig(scales=(), use_proposals=use_proposals)
+
 
 class TestDescribeImage:
     def test_global_baseline_collapse_on_degenerate_input(self):
@@ -81,7 +100,7 @@ class TestDescribeImage:
         via_baseline = describe_image(
             "img", img, PipelineConfig(rotations=False, use_proposals=False)
         )
-        assert via_fallback.meta == via_baseline.meta
+        assert np.array_equal(via_fallback.meta, via_baseline.meta)
         assert np.array_equal(via_fallback.values, via_baseline.values)
 
     def test_rotation_copies_ordered_by_patch_then_rotation(self):
@@ -103,20 +122,34 @@ class TestDescribeImage:
         assert all(m.rotation_index == 0 for m in dset.meta)
 
     def test_rows_match_embedding_every_copy_on_its_own(self):
-        rng = np.random.default_rng(113)
-        yy, xx = np.mgrid[0:128, 0:128]
-        blob = 0.8 * np.exp(-((yy - 40) ** 2 + (xx - 88) ** 2) / (2 * 9.0**2))
-        img = Image(np.clip(blob + 0.05 + 0.1 * rng.random((128, 128)), 0.0, 1.0))
+        img = blob_image()
         cfg = PipelineConfig(n_proposals=40)
-        patches = propose(img, cfg.proposal_config())
-        assert len({p.w for p in patches}) > 1
         dset = describe_image("img", img, cfg)
-        assert dset.meta == [
-            DescriptorMeta(patch_id, p.x, p.y, p.w, p.h, rotation_index, p.objectness)
-            for patch_id, p in enumerate(patches)
-            for rotation_index in range(8)
-        ]
         np.testing.assert_allclose(dset.values, embedded_copies(img, cfg), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [PipelineConfig(n_proposals=40), PipelineConfig(n_proposals=40, rotations=False),
+         PipelineConfig(use_proposals=False, rotations=False)],
+        ids=["rotations-on", "rotations-off", "global-baseline"],
+    )
+    def test_meta_columns_repeat_each_patch_per_copy(self, cfg):
+        img = blob_image()
+        if cfg.use_proposals:
+            patches = propose(img, cfg.proposal_config())
+            assert len({p.w for p in patches}) > 1
+        else:
+            patches = [full_frame_patch(img)]
+        n, copies = len(patches), 8 if cfg.rotations else 1
+        meta = describe_image("img", img, cfg).meta
+        assert isinstance(meta, np.recarray) and meta.dtype == META_DTYPE
+        assert np.array_equal(meta.patch_id, np.repeat(np.arange(n), copies))
+        assert np.array_equal(meta.rotation_index, np.tile(np.arange(copies), n))
+        for name in ("x", "y", "w", "h"):
+            column = np.repeat([getattr(p, name) for p in patches], copies)
+            assert np.array_equal(meta[name], column), name
+        objectness = np.repeat(np.float32([p.objectness for p in patches]), copies)
+        assert np.array_equal(meta.objectness, objectness)
 
     def test_two_rasters_embedded_per_patch(self, monkeypatch):
         embedded = []
@@ -189,7 +222,7 @@ class TestDescribeCorpus:
         assert written[0] == written[1]
 
     def test_other_dtypes_widen_to_float64(self):
-        meta = [DescriptorMeta(0, 0, 0, 16, 16, 0, 0.0)]
+        meta = np.rec.array([(0, 0, 0, 16, 16, 0, 0.0)], dtype=META_DTYPE)
         for given, kept in ((np.float32, np.float32), (np.float64, np.float64),
                             (np.float16, np.float64), (np.int64, np.float64)):
             dset = DescriptorSet("a", meta, np.ones((1, 4), dtype=given))
@@ -205,7 +238,10 @@ class TestDescribeCorpus:
         for dset in describe_corpus(corpus, cfg):
             path = tmp_path / f"{dset.image_id}.kdesc"
             save_descriptors(path, dset)
-            assert np.array_equal(dset.values, load_descriptors(path).values), dset.image_id
+            back = load_descriptors(path)
+            assert np.array_equal(dset.values, back.values), dset.image_id
+            assert isinstance(back.meta, np.recarray) and back.meta.dtype == META_DTYPE
+            assert np.array_equal(back.meta, dset.meta), dset.image_id
 
 
 class TestDescriptorPathsAgree:
@@ -234,7 +270,7 @@ class TestTrainCodebook:
         # projected rows (20,000 x 16 f64, 2.6 MB) should remain of training;
         # the stacked input (20,000 x 128 f64) would be another 20.5 MB.
         rng = np.random.default_rng(115)
-        meta = [DescriptorMeta(0, 0, 0, 16, 16, 0, 0.0)] * 2000
+        meta = np.rec.array([(0, 0, 0, 16, 16, 0, 0.0)] * 2000, dtype=META_DTYPE)
         sets = [
             DescriptorSet(f"im{i}", meta, rng.standard_normal((2000, 128))) for i in range(10)
         ]
