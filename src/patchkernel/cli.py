@@ -16,13 +16,13 @@ from .embed import load_descriptors, save_descriptors
 from .errors import StageError
 from .pipeline import (
     CONFIG_KEYS,
+    ConfigKey,
     PipelineConfig,
     config_from_file,
     describe_corpus,
     describe_image,
     encode_sets,
     evaluate_index,
-    int_tuple,
     load_corpus,
     run_pipeline,
     stage,
@@ -32,12 +32,14 @@ from .raster import read_pgm
 
 
 def _add_config_flags(parser: argparse.ArgumentParser, threads: bool = True) -> None:
-    """One flag per config key; `threads=False` leaves out --threads, for a
-    command that runs no worker pool."""
+    """--config and one flag per config key; `threads=False` leaves out
+    --threads, for a command that runs no worker pool."""
     parser.add_argument("--config", type=Path, help="key=value config file")
-    for key in CONFIG_KEYS:
-        if key.field == "threads" and not threads:
-            continue
+    _add_key_flags(parser, [key for key in CONFIG_KEYS if threads or key.field != "threads"])
+
+
+def _add_key_flags(parser: argparse.ArgumentParser, keys: list[ConfigKey]) -> None:
+    for key in keys:
         if key.switch is None:
             parser.add_argument(
                 key.flag, dest=key.field, type=key.parse, choices=key.choices, help=key.help
@@ -49,7 +51,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, threads: bool = True) -> 
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = PipelineConfig() if args.config is None else config_from_file(args.config)
+    config = getattr(args, "config", None)  # propose offers no --config
+    cfg = PipelineConfig() if config is None else config_from_file(config)
     updates = {
         key.field: getattr(args, key.field)
         for key in CONFIG_KEYS
@@ -66,9 +69,8 @@ def _cmd_synth(args: argparse.Namespace) -> None:
 
 
 def _cmd_propose(args: argparse.Namespace) -> None:
-    img = read_pgm(args.image)
-    cfg = proposals.ProposalConfig(n=args.n, nms_iou=args.nms_iou, scales=args.scales)
-    found = proposals.propose(img, cfg)
+    cfg = _config_from_args(args)
+    found = proposals.propose(read_pgm(args.image), cfg)
     proposals.write_patches_csv(args.out, found)
     print(f"wrote {len(found)} patches to {args.out}")
 
@@ -179,9 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propose", help="detect object-like patches in one image")
     p.add_argument("image", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n", type=int, default=127)
-    p.add_argument("--nms-iou", type=float, default=0.5)
-    p.add_argument("--scales", type=int_tuple)
+    _add_key_flags(p, [k for k in CONFIG_KEYS if k.field in ("n_proposals", "nms_iou", "scales")])
     p.set_defaults(func=_cmd_propose)
 
     p = sub.add_parser("embed", help="compute patch descriptors for one image")

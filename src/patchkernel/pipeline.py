@@ -31,7 +31,6 @@ from .errors import StageError
 from .proposals import (
     MIN_PATCH_SIDE,
     Patch,
-    ProposalConfig,
     augment_rotations,
     patch_rasters,
     propose,
@@ -43,7 +42,7 @@ THREADS_ENV_VAR = "KCNN_THREADS"
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs shared by the train / encode / pipeline commands."""
+    """Knobs shared by the commands; every value is checked when the config is built."""
 
     n_proposals: int = 127
     pca_dim: int = 128
@@ -58,16 +57,22 @@ class PipelineConfig:
     scales: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        self.proposal_config()  # refuses a bad proposal count, NMS threshold or window side
+        if self.n_proposals < 1:
+            raise ValueError(f"proposal count must be >= 1, got {self.n_proposals}")
+        if not 0.0 < self.nms_iou < 1.0:
+            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
+        if self.scales is not None and len(self.scales) == 0:
+            raise ValueError("scales must be non-empty")
+        if any(s < MIN_PATCH_SIDE for s in self.scales or ()):
+            raise ValueError(f"every scale must be >= {MIN_PATCH_SIDE}")
         if not 1 <= self.pca_dim <= DESCRIPTOR_DIM:
             raise ValueError(f"pca dim must lie in 1..{DESCRIPTOR_DIM}, got {self.pca_dim}")
         if self.gmm_components < 1:
             raise ValueError(f"component count must be >= 1, got {self.gmm_components}")
         if self.normalization not in encode.NORMALIZATION_POLICIES:
             raise ValueError(f"unknown normalization policy {self.normalization!r}")
-
-    def proposal_config(self) -> ProposalConfig:
-        return ProposalConfig(n=self.n_proposals, scales=self.scales, nms_iou=self.nms_iou)
+        if self.threads is not None and self.threads < 1:
+            raise ValueError(f"thread count must be >= 1, got {self.threads}")
 
 
 _BOOL_VALUES = {"1": True, "true": True, "on": True, "0": False, "false": False, "off": False}
@@ -119,7 +124,7 @@ CONFIG_KEYS = (
     ConfigKey("nms_iou", float, "--nms-iou", "proposal NMS threshold (default 0.5)"),
     ConfigKey("scales", int_tuple, "--scales", "comma-separated window sides"),
     ConfigKey("seed", int, "--seed", "training seed (default 42)"),
-    ConfigKey("threads", int, "--threads", "worker threads (default all cores)"),
+    ConfigKey("threads", int, "--threads", "worker threads (default: usable CPUs)"),
 )
 
 
@@ -149,15 +154,20 @@ def config_from_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
 
 
 def resolve_threads(requested: int | None) -> int:
-    """Worker count: KCNN_THREADS environment overrides, else flag, else all cores."""
+    """Worker count: KCNN_THREADS environment overrides, else flag, else the usable CPUs."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
         try:
-            return max(1, int(env))
+            threads = int(env)
         except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
+            threads = 0
+        if threads < 1:
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {env!r}")
+        return threads
     if requested is not None:
-        return max(1, requested)
+        return requested
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -192,7 +202,7 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
             f"image {img.width}x{img.height} is below the {MIN_PATCH_SIDE}-px minimum patch side"
         )
     if cfg.use_proposals:
-        patches = propose(img, cfg.proposal_config())
+        patches = propose(img, cfg)
     else:
         patches = [full_frame_patch(img)]
 

@@ -10,11 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .embed import PATCH_SIDE, ROTATION_COUNT
 from .raster import Image, _rotate_crop_array, resize_bilinear
+
+if TYPE_CHECKING:
+    from .pipeline import PipelineConfig
 
 MIN_PATCH_SIDE = 16
 DEFAULT_SCALES = (32, 64, 128)
@@ -47,28 +51,12 @@ class Patch:
         return (self.x, self.y, self.w, self.h)
 
 
-@dataclass(frozen=True)
-class ProposalConfig:
-    """Window-sweep settings; scales=None means defaults plus the full min side."""
-
-    n: int = 127
-    scales: tuple[int, ...] | None = None
-    nms_iou: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"proposal count must be >= 1, got {self.n}")
-        if not 0.0 < self.nms_iou < 1.0:
-            raise ValueError(f"nms_iou must lie in (0, 1), got {self.nms_iou}")
-        if self.scales is not None:
-            if len(self.scales) == 0:
-                raise ValueError("scales must be non-empty")
-            if any(s < MIN_PATCH_SIDE for s in self.scales):
-                raise ValueError(f"every scale must be >= {MIN_PATCH_SIDE}")
-
-    def resolved_scales(self, img: Image) -> list[int]:
-        base = self.scales if self.scales is not None else DEFAULT_SCALES + (min(img.height, img.width),)
-        return sorted({int(s) for s in base if s <= min(img.height, img.width)})
+def window_sides(img: Image, scales: tuple[int, ...] | None) -> list[int]:
+    """The window sides that fit the image, ascending; scales=None means
+    DEFAULT_SCALES plus the image's short side."""
+    short = min(img.height, img.width)
+    base = scales if scales is not None else DEFAULT_SCALES + (short,)
+    return sorted({int(s) for s in base if s <= short})
 
 
 def objectness_map(img: Image) -> np.ndarray:
@@ -143,15 +131,15 @@ def _greedy_nms(
     return np.array(kept, dtype=np.intp)
 
 
-def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
-    """Top-N object-like windows after greedy NMS, scores non-increasing.
+def propose(img: Image, cfg: PipelineConfig) -> list[Patch]:
+    """Top N = cfg.n_proposals windows after greedy NMS at cfg.nms_iou, scores non-increasing.
 
-    Square windows slide at each configured scale with stride scale/4; only
-    windows with positive center-minus-ring contrast compete. Ties break by
-    (y, x, w) ascending. When fewer than N windows survive, the full frame is
-    appended so every image yields at least one patch.
+    Square windows slide at each side of window_sides(img, cfg.scales) with
+    stride side/4; only windows with positive center-minus-ring contrast
+    compete. Ties break by (y, x, w) ascending. When fewer than N windows
+    survive, the full frame is appended so every image yields at least one patch.
     """
-    scales = cfg.resolved_scales(img)
+    scales = window_sides(img, cfg.scales)
     if not scales:
         raise ValueError(
             f"image {img.width}x{img.height} smaller than every configured scale"
@@ -178,7 +166,7 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
     # Each (y, x, side) is unique, so this key leaves no ties.
     order = np.lexsort((side, x, y, -score))
     score, y, x, side = score[order], y[order], x[order], side[order]
-    kept = _greedy_nms(y, x, side, cfg.nms_iou, cfg.n)
+    kept = _greedy_nms(y, x, side, cfg.nms_iou, cfg.n_proposals)
 
     patches = [
         Patch(x=px, y=py, w=ps, h=ps, objectness=pscore)
@@ -186,7 +174,7 @@ def propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
             score[kept].tolist(), y[kept].tolist(), x[kept].tolist(), side[kept].tolist()
         )
     ]
-    if len(patches) < cfg.n:
+    if len(patches) < cfg.n_proposals:
         frame = (0, 0, img.width, img.height)
         if frame not in (p.rect() for p in patches):
             frame_score = _center_ring_score(ii, 0, 0, img.width, img.height)

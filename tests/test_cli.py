@@ -1,5 +1,6 @@
 """Command-line surface tests: flows, formats, exit codes, error lines."""
 
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ from patchkernel import index as index_mod
 from patchkernel.cli import _config_from_args, build_parser, main
 from patchkernel.embed import load_descriptors
 from patchkernel.pipeline import PipelineConfig, config_from_file, resolve_threads
+from patchkernel.raster import Image, write_pgm
 
 FAST = [
     "--n", "8", "--pca-dim", "16", "--components", "4",
@@ -44,6 +46,48 @@ def test_propose_writes_csv(corpus, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "patch_id,x,y,w,h,score"
     assert 2 <= len(lines) <= 7
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--n", "16", "--scales", "32,64", "--nms-iou", "0.3"]],
+    ids=["defaults", "n16-scales-32-64-nms-0.3"],
+)
+def test_propose_csv_matches_the_embedded_patches(flags, corpus, tmp_path):
+    image = str(corpus / "img000.pgm")
+    assert main(["propose", image, "--out", str(tmp_path / "p.csv")] + flags) == 0
+    assert main(["embed", image, "--out", str(tmp_path / "e.kdesc")] + flags) == 0
+    rows = np.loadtxt(tmp_path / "p.csv", delimiter=",", skiprows=1, ndmin=2)
+    meta = load_descriptors(tmp_path / "e.kdesc").meta
+    meta = meta[meta.rotation_index == 0]
+    assert np.array_equal(rows[:, 0], meta.patch_id)
+    assert np.array_equal(rows[:, 1:5], np.column_stack([meta.x, meta.y, meta.w, meta.h]))
+    # The CSV keeps 6 decimals of the f64 score; KDESC keeps it rounded to f32.
+    np.testing.assert_allclose(rows[:, 5], meta.objectness, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "patch size 12x12 below minimum 16"),
+        (["--n", "0"], "proposal count must be >= 1, got 0"),
+        (["--nms-iou", "1.5"], "nms_iou must lie in (0, 1), got 1.5"),
+    ],
+    ids=["12x12-image", "n-0", "nms-iou-1.5"],
+)
+def test_propose_refusal_is_one_line(flags, message, tmp_path, capsys):
+    image = tmp_path / "small.pgm"
+    write_pgm(image, Image(np.full((12, 12), 0.5)))
+    code = main(["propose", str(image), "--out", str(tmp_path / "p.csv")] + flags)
+    assert code == 1
+    assert capsys.readouterr().err == f"propose: {message}\n"
+
+
+def test_propose_offers_only_the_proposal_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["propose", "img.pgm", "--out", "o", "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_embed_writes_kdesc(corpus, tmp_path):
@@ -264,7 +308,9 @@ def test_config_file_roundtrip(tmp_path):
         config_from_file(bad)
 
 
-@pytest.mark.parametrize("line", ["n_proposals=abc", "rotations=maybe", "nms_iou=1.5", "scales=8"])
+@pytest.mark.parametrize(
+    "line", ["n_proposals=abc", "rotations=maybe", "nms_iou=1.5", "scales=8", "threads=0"]
+)
 def test_config_file_bad_value_names_line_and_key(line, tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text(f"seed=7\n{line}\n")
@@ -300,6 +346,15 @@ def test_threads_env_override(monkeypatch):
     assert resolve_threads(None) >= 1
 
 
+def test_threads_default_counts_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("KCNN_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_threads(None) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert resolve_threads(None) == 3
+
+
 @pytest.mark.parametrize("command", [["embed", "img.pgm"], ["encode", "a.kdesc", "--model", "m"]])
 def test_threads_flag_refused_where_no_pool_runs(command, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -321,6 +376,15 @@ def test_threads_env_not_an_integer(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("pipeline: ")
     assert "KCNN_THREADS" in err and "'two'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-4"])
+def test_threads_env_below_one_refused(value, monkeypatch, tmp_path, capsys):
+    monkeypatch.setenv("KCNN_THREADS", value)
+    code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    message = f"KCNN_THREADS must be an integer >= 1, got {value!r}"
+    assert capsys.readouterr().err == f"pipeline: {message}\n"
 
 
 def test_console_entry_point(tmp_path):

@@ -36,7 +36,7 @@ from patchkernel.synth import generate_corpus
 
 def embedded_copies(img: Image, cfg: PipelineConfig) -> np.ndarray:
     """Every rotated copy of every proposal rasterised and embedded on its own."""
-    stacks = rotation_stack(patch_rasters(img, propose(img, cfg.proposal_config())))
+    stacks = rotation_stack(patch_rasters(img, propose(img, cfg)))
     return embed_patches(stacks.reshape(-1, PATCH_SIDE, PATCH_SIDE))
 
 
@@ -75,13 +75,17 @@ class TestConfig:
             PipelineConfig(gmm_components=0)
         with pytest.raises(ValueError):
             PipelineConfig(normalization="power")
+        for threads in (0, -4):
+            with pytest.raises(ValueError, match=f"thread count must be >= 1, got {threads}"):
+                PipelineConfig(threads=threads)
 
     @pytest.mark.parametrize("use_proposals", [True, False], ids=["proposals", "global-baseline"])
     def test_proposal_settings_checked_when_built(self, use_proposals):
         with pytest.raises(ValueError, match="proposal count must be >= 1, got 0"):
             PipelineConfig(n_proposals=0, use_proposals=use_proposals)
-        with pytest.raises(ValueError, match="nms_iou must lie in"):
-            PipelineConfig(nms_iou=1.5, use_proposals=use_proposals)
+        for nms_iou in (1.5, 1.0, 0.0):
+            with pytest.raises(ValueError, match="nms_iou must lie in"):
+                PipelineConfig(nms_iou=nms_iou, use_proposals=use_proposals)
         with pytest.raises(ValueError, match="every scale must be >= 16"):
             PipelineConfig(scales=(8,), use_proposals=use_proposals)
         with pytest.raises(ValueError, match="scales must be non-empty"):
@@ -136,7 +140,7 @@ class TestDescribeImage:
     def test_meta_columns_repeat_each_patch_per_copy(self, cfg):
         img = blob_image()
         if cfg.use_proposals:
-            patches = propose(img, cfg.proposal_config())
+            patches = propose(img, cfg)
             assert len({p.w for p in patches}) > 1
         else:
             patches = [full_frame_patch(img)]

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from patchkernel.embed import PATCH_SIDE
+from patchkernel.pipeline import PipelineConfig
 from patchkernel.proposals import (
     Patch,
-    ProposalConfig,
     _center_ring_score,
     augment_rotations,
     iou,
@@ -16,6 +16,7 @@ from patchkernel.proposals import (
     patch_rasters,
     propose,
     rotation_stack,
+    window_sides,
     write_patches_csv,
 )
 from patchkernel.raster import Image, _rotate_crop_array, resize_bilinear
@@ -28,14 +29,14 @@ def blob_image(side=128, cy=40, cx=88, sigma=9.0) -> Image:
     return Image(np.clip(blob + 0.05, 0.0, 1.0))
 
 
-def reference_propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
+def reference_propose(img: Image, cfg: PipelineConfig) -> list[Patch]:
     """Oracle for propose: every positive window as a Python tuple, one sort on
     (-score, y, x, side), and greedy NMS through iou() against each kept rect."""
     omap = objectness_map(img)
     ii = np.zeros((img.height + 1, img.width + 1))
     np.cumsum(np.cumsum(omap, axis=0), axis=1, out=ii[1:, 1:])
     candidates = []
-    for scale in cfg.resolved_scales(img):
+    for scale in window_sides(img, cfg.scales):
         stride = max(1, scale // 4)
         ys = np.arange(0, img.height - scale + 1, stride)
         xs = np.arange(0, img.width - scale + 1, stride)
@@ -49,7 +50,7 @@ def reference_propose(img: Image, cfg: ProposalConfig) -> list[Patch]:
         rect = (x, y, scale, scale)
         if all(iou(rect, other.rect()) < cfg.nms_iou for other in kept):
             kept.append(Patch(x=x, y=y, w=scale, h=scale, objectness=score))
-            if len(kept) == cfg.n:
+            if len(kept) == cfg.n_proposals:
                 return kept
     if (0, 0, img.width, img.height) not in (p.rect() for p in kept):
         score = _center_ring_score(ii, 0, 0, img.width, img.height)
@@ -133,15 +134,15 @@ class TestObjectnessMap:
 
 class TestPropose:
     def test_constant_image_full_frame_fallback(self):
-        ps = propose(Image(np.full((64, 64), 0.5)), ProposalConfig(n=1))
+        ps = propose(Image(np.full((64, 64), 0.5)), PipelineConfig(n_proposals=1))
         assert len(ps) == 1
         assert ps[0].rect() == (0, 0, 64, 64)
         assert ps[0].objectness == 0.0
 
     def test_blob_top_window_matches_bruteforce_argmax(self):
         img = blob_image()
-        cfg = ProposalConfig(n=1)
-        scales = cfg.resolved_scales(img)
+        cfg = PipelineConfig(n_proposals=1)
+        scales = window_sides(img, cfg.scales)
         best = brute_force_best_window(img, scales, lambda s: max(1, s // 4))
         top = propose(img, cfg)[0]
         assert (top.objectness, top.y, top.x, top.w) == pytest.approx(best)
@@ -152,7 +153,7 @@ class TestPropose:
 
     def test_fallback_appended_when_fewer_than_n(self):
         img = blob_image(side=64)
-        ps = propose(img, ProposalConfig(n=127))
+        ps = propose(img, PipelineConfig(n_proposals=127))
         assert len(ps) < 127
         assert ps[-1].rect() == (0, 0, 64, 64)
         survivors = ps[:-1]
@@ -161,7 +162,7 @@ class TestPropose:
     def test_nms_pairwise_iou_bound(self):
         rng = np.random.default_rng(11)
         img = Image(rng.random((96, 96)))
-        cfg = ProposalConfig(n=40, nms_iou=0.4)
+        cfg = PipelineConfig(n_proposals=40, nms_iou=0.4)
         ps = propose(img, cfg)
         boxes = [p.rect() for p in ps if p.rect() != (0, 0, 96, 96)]
         for i in range(len(boxes)):
@@ -171,24 +172,15 @@ class TestPropose:
     def test_scores_non_increasing_and_capped_at_n(self):
         rng = np.random.default_rng(12)
         img = Image(rng.random((128, 128)))
-        ps = propose(img, ProposalConfig(n=10))
+        ps = propose(img, PipelineConfig(n_proposals=10))
         assert len(ps) <= 10
         scores = [p.objectness for p in ps]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
     def test_image_smaller_than_every_scale(self):
         with pytest.raises(ValueError, match="smaller than every"):
-            propose(Image(np.zeros((24, 24)) + 0.5), ProposalConfig(n=3, scales=(32, 64)))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ProposalConfig(n=0)
-        with pytest.raises(ValueError):
-            ProposalConfig(nms_iou=1.0)
-        with pytest.raises(ValueError):
-            ProposalConfig(scales=())
-        with pytest.raises(ValueError):
-            ProposalConfig(scales=(8,))
+            img = Image(np.zeros((24, 24)) + 0.5)
+            propose(img, PipelineConfig(n_proposals=3, scales=(32, 64)))
 
 
 class TestProposeMatchesReference:
@@ -198,7 +190,7 @@ class TestProposeMatchesReference:
         img = ORACLE_IMAGES[name]
         for n in (1, 5, 127, 300):
             for nms_iou in (0.1, 0.5, 0.9):
-                cfg = ProposalConfig(n=n, scales=scales, nms_iou=nms_iou)
+                cfg = PipelineConfig(n_proposals=n, scales=scales, nms_iou=nms_iou)
                 got = propose(img, cfg)
                 assert got == reference_propose(img, cfg), (n, nms_iou)
                 assert all(type(v) is int for p in got for v in p.rect())
@@ -206,14 +198,14 @@ class TestProposeMatchesReference:
 
     def test_iou_at_the_threshold_suppresses(self):
         # A 32-px window inside a 64-px one has an IoU of exactly 0.25.
-        cfg = ProposalConfig(nms_iou=0.25)
+        cfg = PipelineConfig(nms_iou=0.25)
         for img in ORACLE_IMAGES.values():
             assert propose(img, cfg) == reference_propose(img, cfg)
 
     def test_constant_image_takes_the_fallback(self):
         img = Image(np.full((96, 160), 0.3))
         for n in (1, 127):
-            cfg = ProposalConfig(n=n)
+            cfg = PipelineConfig(n_proposals=n)
             got = propose(img, cfg)
             assert got == reference_propose(img, cfg)
             assert [p.rect() for p in got] == [(0, 0, 160, 96)]
@@ -222,14 +214,14 @@ class TestProposeMatchesReference:
         # ~60k windows at sides 16 and 32; a window-by-window IoU matrix
         # would need gigabytes.
         img = Image(np.random.default_rng(20).random((768, 1024)))
-        cfg = ProposalConfig(scales=(16, 32))
+        cfg = PipelineConfig(scales=(16, 32))
         tracemalloc.start()
         try:
             patches = propose(img, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(patches) == cfg.n
+        assert len(patches) == cfg.n_proposals
         assert peak < 64 * 2**20
 
 
@@ -356,7 +348,7 @@ class TestAugmentRotations:
     def test_image_stack_equals_per_patch_oracle_bit_exact(self):
         rng = np.random.default_rng(17)
         img = Image(np.clip(blob_image().pixels + 0.1 * rng.random((128, 128)), 0.0, 1.0))
-        patches = propose(img, ProposalConfig(n=40))
+        patches = propose(img, PipelineConfig(n_proposals=40))
         assert len({p.w for p in patches}) > 1
         bases = per_patch_crops(img, patches)
         assert np.array_equal(patch_rasters(img, patches), bases)
