@@ -24,6 +24,7 @@ from .pipeline import (
     encode_sets,
     evaluate_index,
     load_corpus,
+    resolve_threads,
     run_pipeline,
     stage,
     train_codebook,
@@ -89,6 +90,7 @@ def _cmd_embed(args: argparse.Namespace) -> None:
 
 def _cmd_train(args: argparse.Namespace) -> None:
     cfg = _config_from_args(args)
+    resolve_threads(cfg.threads)  # a malformed KCNN_THREADS fails before any work
     with stage("corpus"):
         corpus = load_corpus(args.corpus)
     with stage("embed"):
@@ -147,8 +149,6 @@ def _cmd_sensitivity(args: argparse.Namespace) -> None:
     corpus = load_corpus(args.corpus)
     if args.grid:
         grid = [float(v) for v in args.grid.split(",")]
-        if args.kind == "translate":
-            grid = [int(v) for v in grid]
     else:
         grid = evaluation.default_grid(args.kind, min(img.width for _, img in corpus))
     curve = evaluation.sensitivity_study(corpus, args.kind, grid)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="transform-sensitivity curve over a corpus")
     p.add_argument("--corpus", type=Path, required=True)
-    p.add_argument("--kind", choices=["translate", "scale", "rotate"], required=True)
+    p.add_argument("--kind", choices=list(evaluation.TRANSFORMS), required=True)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--grid", type=str, help="comma-separated parameter values")
     p.set_defaults(func=_cmd_sensitivity)

@@ -4,9 +4,10 @@ transform-sensitivity harness that produces mean/std similarity curves.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,23 +18,23 @@ from .raster import Image, rotate_center_crop, scale_same_size, translate_circul
 LABELS = ("rel", "nonrel", "junk")
 
 TRANSLATE_GRID_STEPS = 16
-SCALE_GRID = tuple(i * 0.125 for i in range(4, 17))  # 0.5 .. 2.0 through 1.0
-ROTATE_GRID = tuple(i * 22.5 for i in range(16))
 
 
-@dataclass
-class GroundTruth:
-    """Per-query relevance labels: query_id -> {image_id -> label}."""
+class Transform(NamedTuple):
+    """A sensitivity transform `apply(img, value)`, the value at which it is
+    the identity, and `grid(width)`, its default grid for images `width` px wide."""
 
-    relevance: dict[str, dict[str, str]]
+    apply: Callable[[Image, float], Image]
+    identity: float
+    grid: Callable[[int], list[float]]
 
-    def queries(self) -> list[str]:
-        return sorted(self.relevance)
 
-    def labels_for(self, query_id: str) -> dict[str, str]:
-        if query_id not in self.relevance:
-            raise KeyError(f"unknown query id {query_id!r}")
-        return self.relevance[query_id]
+TRANSFORMS = {  # translation: 16 even integer steps of [0, width]; scale: 0.5 .. 2.0
+    "translate": Transform(translate_circular, 0, lambda width: sorted(
+        {round(k * width / TRANSLATE_GRID_STEPS) for k in range(TRANSLATE_GRID_STEPS)})),
+    "scale": Transform(scale_same_size, 1.0, lambda width: [i * 0.125 for i in range(4, 17)]),
+    "rotate": Transform(rotate_center_crop, 0.0, lambda width: [i * 22.5 for i in range(16)]),
+}
 
 
 def average_precision(ranked_ids: Sequence[str], labels: dict[str, str]) -> float:
@@ -80,26 +81,15 @@ class SensitivityCurve:
             raise ValueError("parameter grid must be strictly increasing")
 
 
-_REFERENCE = {"translate": 0, "scale": 1.0, "rotate": 0.0}
-
-
-def _apply(img: Image, kind: str, value: float) -> Image:
-    if kind == "translate":
-        return translate_circular(img, int(value))
-    if kind == "scale":
-        return scale_same_size(img, float(value))
-    return rotate_center_crop(img, float(value))
+def _transform(kind: str) -> Transform:
+    if kind not in TRANSFORMS:
+        raise ValueError(f"unknown transform kind {kind!r}")
+    return TRANSFORMS[kind]
 
 
 def default_grid(kind: str, width: int) -> list[float]:
-    """Harness default grids; translation uses 16 even integer steps of [0, width]."""
-    if kind == "translate":
-        return sorted({int(round(k * width / TRANSLATE_GRID_STEPS)) for k in range(TRANSLATE_GRID_STEPS)})
-    if kind == "scale":
-        return list(SCALE_GRID)
-    if kind == "rotate":
-        return list(ROTATE_GRID)
-    raise ValueError(f"unknown transform kind {kind!r}")
+    """The default parameter grid of a transform kind for images `width` px wide."""
+    return _transform(kind).grid(width)
 
 
 def sensitivity_study(
@@ -107,26 +97,25 @@ def sensitivity_study(
 ) -> SensitivityCurve:
     """Similarity of each image's feature to its transformed versions.
 
-    For every image the reference feature is extracted at the identity
+    Grid values take the type of the identity parameter, so translations are
+    whole pixels (7.6 -> 7). The reference feature is the one at the identity
     parameter (t=0 / s=1 / theta=0), which must therefore be on the grid so
     the curve is anchored at similarity 1.
     """
-    if kind not in _REFERENCE:
-        raise ValueError(f"unknown transform kind {kind!r}")
+    transform = _transform(kind)
     if len(corpus) == 0:
         raise ValueError("sensitivity study needs a non-empty corpus")
-    grid = list(grid)
+    grid = [type(transform.identity)(value) for value in grid]
     if not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValueError("parameter grid must be strictly increasing")
-    reference = _REFERENCE[kind]
-    if reference not in grid:
-        raise ValueError(f"grid must contain the reference point {reference} for {kind}")
+    if transform.identity not in grid:
+        raise ValueError(f"grid must contain the reference point {transform.identity} for {kind}")
+    ref = grid.index(transform.identity)
 
     sims = np.empty((len(corpus), len(grid)))
     for row, (_, img) in enumerate(corpus):
-        ref_feature = embed_image_global(_apply(img, kind, reference))
-        for col, value in enumerate(grid):
-            sims[row, col] = cosine(ref_feature, embed_image_global(_apply(img, kind, value)))
+        features = [embed_image_global(transform.apply(img, value)) for value in grid]
+        sims[row] = [cosine(features[ref], feature) for feature in features]
     return SensitivityCurve(
         kind=kind,
         grid=np.asarray(grid, dtype=np.float64),
@@ -143,8 +132,9 @@ def write_curve_csv(path: str | Path, curve: SensitivityCurve) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)."""
+def load_ground_truth(path: str | Path) -> dict[str, dict[str, str]]:
+    """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)
+    into query_id -> {image_id -> label}."""
     try:
         text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -156,20 +146,20 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise ValueError(f"{path}:{lineno}: expected query_id,image_id,label")
+            raise FormatError(f"{path}:{lineno}: expected query_id,image_id,label")
         query_id, image_id, label = (p.strip() for p in parts)
         if label not in LABELS:
-            raise ValueError(f"{path}:{lineno}: unknown label {label!r}")
+            raise FormatError(f"{path}:{lineno}: unknown label {label!r}")
         relevance.setdefault(query_id, {})[image_id] = label
     if not relevance:
-        raise ValueError(f"{path}: ground truth file has no rows")
-    return GroundTruth(relevance=relevance)
+        raise FormatError(f"{path}: ground truth file has no rows")
+    return relevance
 
 
-def save_ground_truth(path: str | Path, gt: GroundTruth) -> None:
+def save_ground_truth(path: str | Path, gt: dict[str, dict[str, str]]) -> None:
     lines = ["query_id,image_id,label"]
-    for query_id in gt.queries():
-        for image_id, label in sorted(gt.relevance[query_id].items()):
+    for query_id in sorted(gt):
+        for image_id, label in sorted(gt[query_id].items()):
             lines.append(f"{query_id},{image_id},{label}")
     Path(path).write_text("\n".join(lines) + "\n")
 

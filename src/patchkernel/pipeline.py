@@ -32,6 +32,7 @@ from .proposals import (
     MIN_PATCH_SIDE,
     Patch,
     augment_rotations,
+    check_patch_side,
     patch_rasters,
     propose,
 )
@@ -197,10 +198,7 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
     order, copy j being the patch turned by 45 j degrees. An image with a side
     below MIN_PATCH_SIDE is refused before any work, in either mode.
     """
-    if min(img.width, img.height) < MIN_PATCH_SIDE:
-        raise ValueError(
-            f"image {img.width}x{img.height} is below the {MIN_PATCH_SIDE}-px minimum patch side"
-        )
+    check_patch_side(img)
     if cfg.use_proposals:
         patches = propose(img, cfg)
     else:
@@ -310,9 +308,9 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
 
 
 def evaluate_index(
-    idx: index_mod.Index, gt: evaluation.GroundTruth, mode: str
+    idx: index_mod.Index, gt: dict[str, dict[str, str]], mode: str
 ) -> tuple[list[tuple[str, float]], float]:
-    """Run every ground-truth query against the index.
+    """Run every ground-truth query (query_id -> {image_id -> label}) against the index.
 
     mode "map" follows the junk-aware protocol with the query dropped from
     its own ranked list; mode "top4" keeps the query and counts it as
@@ -321,11 +319,10 @@ def evaluate_index(
     if mode not in ("map", "top4"):
         raise ValueError(f"unknown evaluation mode {mode!r}")
     rows: list[tuple[str, float]] = []
-    for query_id in gt.queries():
+    for query_id, labels in sorted(gt.items()):
         if query_id not in idx:
             raise ValueError(f"unknown query id {query_id!r}: not present in index")
         ranked = [image_id for image_id, _ in index_mod.search(idx, idx.vector(query_id), len(idx))]
-        labels = gt.labels_for(query_id)
         if mode == "map":
             ranked = [image_id for image_id in ranked if image_id != query_id]
             rows.append((query_id, evaluation.average_precision(ranked, labels)))

@@ -51,6 +51,14 @@ class Patch:
         return (self.x, self.y, self.w, self.h)
 
 
+def check_patch_side(img: Image) -> None:
+    """Refuse an image with a side below MIN_PATCH_SIDE: no patch fits in it."""
+    if min(img.width, img.height) < MIN_PATCH_SIDE:
+        raise ValueError(
+            f"image {img.width}x{img.height} is below the {MIN_PATCH_SIDE}-px minimum patch side"
+        )
+
+
 def window_sides(img: Image, scales: tuple[int, ...] | None) -> list[int]:
     """The window sides that fit the image, ascending; scales=None means
     DEFAULT_SCALES plus the image's short side."""
@@ -138,7 +146,9 @@ def propose(img: Image, cfg: PipelineConfig) -> list[Patch]:
     stride side/4; only windows with positive center-minus-ring contrast
     compete. Ties break by (y, x, w) ascending. When fewer than N windows
     survive, the full frame is appended so every image yields at least one patch.
+    An image with a side below MIN_PATCH_SIDE is refused.
     """
+    check_patch_side(img)
     scales = window_sides(img, cfg.scales)
     if not scales:
         raise ValueError(

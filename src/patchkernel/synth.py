@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluation import GroundTruth, save_ground_truth
+from .evaluation import save_ground_truth
 from .raster import Image, scale_same_size, translate_circular, write_pgm
 
 IMAGE_SIDE = 128
@@ -104,5 +104,5 @@ def generate_corpus(out_dir: str | Path, n_base: int = 20, seed: int = 42) -> li
             image_ids.append(rel_id)
             labels[rel_id] = "rel"
         relevance[base_id] = labels
-    save_ground_truth(out_dir / "groundtruth.csv", GroundTruth(relevance=relevance))
+    save_ground_truth(out_dir / "groundtruth.csv", relevance)
     return sorted(image_ids)

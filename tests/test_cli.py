@@ -67,17 +67,18 @@ def test_propose_csv_matches_the_embedded_patches(flags, corpus, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flags, message",
+    "shape, flags, message",
     [
-        ([], "patch size 12x12 below minimum 16"),
-        (["--n", "0"], "proposal count must be >= 1, got 0"),
-        (["--nms-iou", "1.5"], "nms_iou must lie in (0, 1), got 1.5"),
+        ((12, 12), [], "image 12x12 is below the 16-px minimum patch side"),
+        ((12, 40), [], "image 40x12 is below the 16-px minimum patch side"),
+        ((12, 12), ["--n", "0"], "proposal count must be >= 1, got 0"),
+        ((12, 12), ["--nms-iou", "1.5"], "nms_iou must lie in (0, 1), got 1.5"),
     ],
-    ids=["12x12-image", "n-0", "nms-iou-1.5"],
+    ids=["12x12-image", "40x12-image", "n-0", "nms-iou-1.5"],
 )
-def test_propose_refusal_is_one_line(flags, message, tmp_path, capsys):
+def test_propose_refusal_is_one_line(shape, flags, message, tmp_path, capsys):
     image = tmp_path / "small.pgm"
-    write_pgm(image, Image(np.full((12, 12), 0.5)))
+    write_pgm(image, Image(np.full(shape, 0.5)))
     code = main(["propose", str(image), "--out", str(tmp_path / "p.csv")] + flags)
     assert code == 1
     assert capsys.readouterr().err == f"propose: {message}\n"
@@ -227,6 +228,18 @@ def test_sensitivity_curve(corpus, tmp_path):
     assert float(ref[2]) == pytest.approx(0.0, abs=1e-9)
 
 
+def test_sensitivity_translate_grid_snaps_to_whole_pixels(corpus, tmp_path):
+    out = tmp_path / "curve.csv"
+    code = main(
+        ["sensitivity", "--corpus", str(corpus), "--kind", "translate",
+         "--out", str(out), "--grid", "0,7.6,33"]
+    )
+    assert code == 0
+    assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+        "0.000000", "7.000000", "33.000000"
+    ]
+
+
 def test_sensitivity_grid_without_reference_fails(corpus, tmp_path, capsys):
     code = main(
         ["sensitivity", "--corpus", str(corpus), "--kind", "scale",
@@ -369,22 +382,25 @@ def test_threads_flag_sizes_the_describe_pool(command):
     assert _config_from_args(args).threads == 2
 
 
-def test_threads_env_not_an_integer(monkeypatch, tmp_path, capsys):
+# The corpus directory is empty: the variable must be refused before the corpus is read.
+@pytest.mark.parametrize("command", ["train", "pipeline"])
+def test_threads_env_not_an_integer(command, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("KCNN_THREADS", "two")
-    code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
+    code = main([command, "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1
     err = capsys.readouterr().err.strip()
-    assert err.startswith("pipeline: ")
+    assert err.startswith(f"{command}: ")
     assert "KCNN_THREADS" in err and "'two'" in err
 
 
+@pytest.mark.parametrize("command", ["train", "pipeline"])
 @pytest.mark.parametrize("value", ["0", "-4"])
-def test_threads_env_below_one_refused(value, monkeypatch, tmp_path, capsys):
+def test_threads_env_below_one_refused(value, command, monkeypatch, tmp_path, capsys):
     monkeypatch.setenv("KCNN_THREADS", value)
-    code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
+    code = main([command, "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
     assert code == 1
     message = f"KCNN_THREADS must be an integer >= 1, got {value!r}"
-    assert capsys.readouterr().err == f"pipeline: {message}\n"
+    assert capsys.readouterr().err == f"{command}: {message}\n"
 
 
 def test_console_entry_point(tmp_path):

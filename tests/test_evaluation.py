@@ -7,7 +7,6 @@ import pytest
 
 from patchkernel.errors import FormatError
 from patchkernel.evaluation import (
-    GroundTruth,
     SensitivityCurve,
     average_precision,
     default_grid,
@@ -168,6 +167,31 @@ class TestSensitivity:
         assert np.all(curve.mean >= -1.0) and np.all(curve.mean <= 1.0)
         assert np.all(curve.std >= 0.0)
 
+    @pytest.mark.parametrize(
+        "kind, value, mean, std",
+        [
+            ("scale", 1.5, 0.5798916294674357, 0.0911125151926114),
+            ("rotate", 45.0, 0.42979197114030365, 0.07836898694035982),
+        ],
+        ids=["scale-1.5", "rotate-45"],
+    )
+    def test_structured_corpus_scale_and_rotation_regression(self, kind, value, mean, std):
+        # Frozen fixed-seed oracle run: the corpus of the translation case, default grids.
+        rng = np.random.default_rng(7)
+        corpus = [(f"im{i}", make_base_image(rng)) for i in range(10)]
+        grid = default_grid(kind, 128)
+        curve = sensitivity_study(corpus, kind, grid)
+        np.testing.assert_allclose(curve.mean[grid.index(value)], mean, atol=1e-9)
+        np.testing.assert_allclose(curve.std[grid.index(value)], std, atol=1e-9)
+
+    def test_translation_snaps_to_whole_pixels(self):
+        rng = np.random.default_rng(97)
+        corpus = [(f"im{i}", Image(rng.random((48, 48)))) for i in range(2)]
+        curve = sensitivity_study(corpus, "translate", [0, 7.6, 33])
+        snapped = sensitivity_study(corpus, "translate", [0, 7, 33])
+        assert curve.grid.tolist() == [0.0, 7.0, 33.0]
+        assert np.array_equal(curve.mean, snapped.mean)
+
     def test_grid_must_contain_reference(self):
         corpus = [("im", Image(np.random.default_rng(95).random((32, 32))))]
         with pytest.raises(ValueError, match="reference"):
@@ -219,22 +243,35 @@ class TestCsv:
         assert lines[2] == "1.000000,1.000000,0.000000,3"
 
     def test_ground_truth_roundtrip(self, tmp_path):
-        gt = GroundTruth(
-            relevance={
-                "q1": {"a": "rel", "b": "junk", "c": "nonrel"},
-                "q2": {"d": "rel"},
-            }
-        )
+        gt = {
+            "q1": {"a": "rel", "b": "junk", "c": "nonrel"},
+            "q2": {"d": "rel"},
+        }
         path = tmp_path / "gt.csv"
         save_ground_truth(path, gt)
         back = load_ground_truth(path)
-        assert back.relevance == gt.relevance
-        assert back.queries() == ["q1", "q2"]
+        assert back == gt
+        assert sorted(back) == ["q1", "q2"]
 
     def test_ground_truth_bad_label(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("query_id,image_id,label\nq,a,great\n")
         with pytest.raises(ValueError, match="label"):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("query_id,image_id,label\nq,a,rel\nq,b\n", ":3: expected query_id,image_id,label"),
+            ("query_id,image_id,label\nq,a,great\n", ":2: unknown label 'great'"),
+            ("query_id,image_id,label\n", ": ground truth file has no rows"),
+        ],
+        ids=["two-fields", "unknown-label", "no-rows"],
+    )
+    def test_ground_truth_malformed_is_format_error(self, text, message, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path) + message)}$"):
             load_ground_truth(path)
 
     def test_ground_truth_not_utf8_names_path_and_offset(self, tmp_path):
@@ -246,9 +283,7 @@ class TestCsv:
 
     def test_ground_truth_fuzz_truncation_and_ff_bytes(self, tmp_path):
         good = tmp_path / "good.csv"
-        save_ground_truth(
-            good, GroundTruth(relevance={"q1": {"a": "rel", "b": "junk"}, "q2": {"c": "nonrel"}})
-        )
+        save_ground_truth(good, {"q1": {"a": "rel", "b": "junk"}, "q2": {"c": "nonrel"}})
         data = good.read_bytes()
         assert len(data) == 55
         path = tmp_path / "fuzz.csv"
@@ -259,12 +294,12 @@ class TestCsv:
             path.write_bytes(mutated)
             try:
                 gt = load_ground_truth(path)
-            except ValueError as exc:  # FormatError included
+            except FormatError as exc:
                 assert str(exc).startswith(f"{path}:"), mutated
                 continue
             loaded += 1
-            assert gt.queries() and set(gt.queries()) <= {"q1", "q2"}, mutated
-            for labels in gt.relevance.values():
+            assert sorted(gt) and set(gt) <= {"q1", "q2"}, mutated
+            for labels in gt.values():
                 assert set(labels.values()) <= {"rel", "nonrel", "junk"}, mutated
         assert loaded > 0
 

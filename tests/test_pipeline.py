@@ -16,7 +16,7 @@ from patchkernel.embed import (
     sum_pool,
 )
 from patchkernel.errors import StageError
-from patchkernel.evaluation import GroundTruth, load_ground_truth
+from patchkernel.evaluation import load_ground_truth
 from patchkernel.pipeline import (
     PipelineConfig,
     describe_corpus,
@@ -307,13 +307,13 @@ class TestEvaluateIndex:
         )
 
     def test_map_mode_excludes_query_from_ranking(self):
-        gt = GroundTruth(relevance={"q": {"r": "rel"}})
+        gt = {"q": {"r": "rel"}}
         rows, overall = evaluate_index(self._index(), gt, "map")
         assert rows == [("q", 1.0)]
         assert overall == 1.0
 
     def test_top4_mode_counts_query_itself(self):
-        gt = GroundTruth(relevance={"q": {"r": "rel"}})
+        gt = {"q": {"r": "rel"}}
         rows, overall = evaluate_index(self._index(), gt, "top4")
         assert rows == [("q", 2.0)]  # the query itself plus its relative
 
@@ -327,17 +327,17 @@ class TestEvaluateIndex:
                 index_mod.IndexEntry("far", np.array([-0.8, 0.6])),
             ]
         )
-        gt = GroundTruth(relevance={"q": {"dup1": "rel", "dup2": "rel"}})
+        gt = {"q": {"dup1": "rel", "dup2": "rel"}}
         _, overall = evaluate_index(idx, gt, "map")
         assert overall == pytest.approx(1.0)
 
     def test_unknown_query_rejected(self):
-        gt = GroundTruth(relevance={"ghost": {"r": "rel"}})
+        gt = {"ghost": {"r": "rel"}}
         with pytest.raises(ValueError, match="ghost"):
             evaluate_index(self._index(), gt, "map")
 
     def test_unknown_mode_rejected(self):
-        gt = GroundTruth(relevance={"q": {"r": "rel"}})
+        gt = {"q": {"r": "rel"}}
         with pytest.raises(ValueError, match="mode"):
             evaluate_index(self._index(), gt, "recall")
 

@@ -33,9 +33,9 @@ def test_counts(tmp_path):
     assert len(ids) == 100
     assert len(list(out.glob("*.pgm"))) == 100
     gt = load_ground_truth(out / "groundtruth.csv")
-    assert len(gt.queries()) == 20
-    for query in gt.queries():
-        labels = gt.labels_for(query)
+    assert len(sorted(gt)) == 20
+    for query in sorted(gt):
+        labels = gt[query]
         assert len(labels) == 4
         assert all(v == "rel" for v in labels.values())
 
@@ -44,9 +44,9 @@ def test_referential_integrity_and_image_validity(tmp_path):
     out = tmp_path / "corpus"
     generate_corpus(out, n_base=4, seed=5)
     gt = load_ground_truth(out / "groundtruth.csv")
-    for query in gt.queries():
+    for query in sorted(gt):
         assert (out / f"{query}.pgm").exists()
-        for image_id in gt.labels_for(query):
+        for image_id in gt[query]:
             assert (out / f"{image_id}.pgm").exists()
     for path in out.glob("*.pgm"):
         img = read_pgm(path)
