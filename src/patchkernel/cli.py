@@ -16,7 +16,6 @@ from .embed import load_descriptors, save_descriptors
 from .errors import StageError
 from .pipeline import (
     CONFIG_KEYS,
-    ConfigKey,
     PipelineConfig,
     config_from_file,
     describe_corpus,
@@ -32,15 +31,13 @@ from .pipeline import (
 from .raster import read_pgm
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, threads: bool = True) -> None:
-    """--config and one flag per config key; `threads=False` leaves out
-    --threads, for a command that runs no worker pool."""
-    parser.add_argument("--config", type=Path, help="key=value config file")
-    _add_key_flags(parser, [key for key in CONFIG_KEYS if threads or key.field != "threads"])
-
-
-def _add_key_flags(parser: argparse.ArgumentParser, keys: list[ConfigKey]) -> None:
-    for key in keys:
+def _add_config_flags(parser: argparse.ArgumentParser, *stages: str, config: bool = True) -> None:
+    """A flag per config key that one of `stages` reads; --config unless `config` is false."""
+    if config:
+        parser.add_argument("--config", type=Path, help="key=value config file")
+    for key in CONFIG_KEYS:
+        if key.stage not in stages:
+            continue
         if key.switch is None:
             parser.add_argument(
                 key.flag, dest=key.field, type=key.parse, choices=key.choices, help=key.help
@@ -181,27 +178,27 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("propose", help="detect object-like patches in one image")
     p.add_argument("image", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    _add_key_flags(p, [k for k in CONFIG_KEYS if k.field in ("n_proposals", "nms_iou", "scales")])
+    _add_config_flags(p, "propose", config=False)
     p.set_defaults(func=_cmd_propose)
 
     p = sub.add_parser("embed", help="compute patch descriptors for one image")
     p.add_argument("image", type=Path)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--image-id", type=str)
-    _add_config_flags(p, threads=False)
+    _add_config_flags(p, "propose", "describe")
     p.set_defaults(func=_cmd_embed)
 
     p = sub.add_parser("train", help="train the PCA+GMM codebook on a corpus")
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "propose", "describe", "pool", "train")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("encode", help="aggregate descriptor files into an index")
     p.add_argument("descriptors", type=Path, nargs="+")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p, threads=False)
+    _add_config_flags(p, "encode")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("index", help="merge index files")
@@ -233,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="embed, train, encode, and index a corpus")
     p.add_argument("--corpus", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, "propose", "describe", "pool", "train", "encode")
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text reader that raises one."""
+
+from __future__ import annotations
+
+from pathlib import Path
 
 
 class FormatError(ValueError):
@@ -19,3 +23,12 @@ class StageError(Exception):
         super().__init__(f"{stage}: {message}")
         self.stage = stage
         self.message = message
+
+
+def read_utf8(path: str | Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise a FormatError
+    naming the path and the byte offset."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .embed import cosine, embed_image_global
-from .errors import FormatError
+from .errors import FormatError, read_utf8
 from .raster import Image, rotate_center_crop, scale_same_size, translate_circular
 
 LABELS = ("rel", "nonrel", "junk")
@@ -135,11 +135,7 @@ def write_curve_csv(path: str | Path, curve: SensitivityCurve) -> None:
 def load_ground_truth(path: str | Path) -> dict[str, dict[str, str]]:
     """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)
     into query_id -> {image_id -> label}."""
-    try:
-        text = Path(path).read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
-    lines = text.strip().splitlines()
+    lines = read_utf8(path).strip().splitlines()
     relevance: dict[str, dict[str, str]] = {}
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 and line == "query_id,image_id,label":

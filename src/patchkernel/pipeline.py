@@ -27,7 +27,7 @@ from .embed import (
     quarter_turn_copies,
     save_descriptors,
 )
-from .errors import StageError
+from .errors import StageError, read_utf8
 from .proposals import (
     MIN_PATCH_SIDE,
     Patch,
@@ -72,6 +72,8 @@ class PipelineConfig:
             raise ValueError(f"component count must be >= 1, got {self.gmm_components}")
         if self.normalization not in encode.NORMALIZATION_POLICIES:
             raise ValueError(f"unknown normalization policy {self.normalization!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.threads is not None and self.threads < 1:
             raise ValueError(f"thread count must be >= 1, got {self.threads}")
 
@@ -100,6 +102,7 @@ class ConfigKey(NamedTuple):
     """
 
     field: str
+    stage: str  # the one that reads the field: propose, describe, pool, train or encode
     parse: Callable[[str], object]
     flag: str
     help: str
@@ -108,24 +111,26 @@ class ConfigKey(NamedTuple):
 
 
 CONFIG_KEYS = (
-    ConfigKey("n_proposals", int, "--n", "proposals per image (default 127)"),
-    ConfigKey("pca_dim", int, "--pca-dim", "PCA output dimension (default 128)"),
-    ConfigKey("gmm_components", int, "--components", "GMM component count (default 64)"),
-    ConfigKey("rotations", boolean, "--rotations", "8-way patch rotation, on|off (default on)"),
+    ConfigKey("n_proposals", "propose", int, "--n", "proposals per image (default 127)"),
+    ConfigKey("nms_iou", "propose", float, "--nms-iou", "proposal NMS threshold (default 0.5)"),
+    ConfigKey("scales", "propose", int_tuple, "--scales", "comma-separated window sides"),
     ConfigKey(
-        "use_proposals", boolean, "--global-baseline",
+        "rotations", "describe", boolean, "--rotations", "8-way patch rotation, on|off (default on)"
+    ),
+    ConfigKey(
+        "use_proposals", "describe", boolean, "--global-baseline",
         "bypass proposals: one full-frame descriptor per image (rotations default off)",
         switch=False,
     ),
+    ConfigKey("threads", "pool", int, "--threads", "worker threads (default: usable CPUs)"),
+    ConfigKey("pca_dim", "train", int, "--pca-dim", "PCA output dimension (default 128)"),
+    ConfigKey("gmm_components", "train", int, "--components", "GMM component count (default 64)"),
+    ConfigKey("whiten", "train", boolean, "--whiten", "enable PCA whitening", switch=True),
+    ConfigKey("seed", "train", int, "--seed", "training seed (default 42)"),
     ConfigKey(
-        "normalization", str, "--policy", "aggregation normalization (default improved)",
+        "normalization", "encode", str, "--policy", "aggregation normalization (default improved)",
         choices=encode.NORMALIZATION_POLICIES,
     ),
-    ConfigKey("whiten", boolean, "--whiten", "enable PCA whitening", switch=True),
-    ConfigKey("nms_iou", float, "--nms-iou", "proposal NMS threshold (default 0.5)"),
-    ConfigKey("scales", int_tuple, "--scales", "comma-separated window sides"),
-    ConfigKey("seed", int, "--seed", "training seed (default 42)"),
-    ConfigKey("threads", int, "--threads", "worker threads (default: usable CPUs)"),
 )
 
 
@@ -134,11 +139,12 @@ def config_from_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
 
     Keys are the field names of CONFIG_KEYS. A line that does not parse, or
     whose value the config rejects, raises ValueError naming path:lineno
-    and the key.
+    and the key; a file that is not UTF-8 raises FormatError naming the
+    byte offset.
     """
     cfg = base or PipelineConfig()
     parsers = {key.field: key.parse for key in CONFIG_KEYS}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -85,8 +85,13 @@ def make_relatives(rng: np.random.Generator, base: Image) -> dict[str, Image]:
 def generate_corpus(out_dir: str | Path, n_base: int = 20, seed: int = 42) -> list[str]:
     """Write n_base * 5 PGM images plus groundtruth.csv; returns image ids.
 
-    The same seed always produces byte-identical output.
+    The same seed always produces byte-identical output. A base count below 1
+    or a negative seed is refused before the directory is created.
     """
+    if n_base < 1:
+        raise ValueError(f"n_base must be >= 1, got {n_base}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -10,13 +10,13 @@ import pytest
 from patchkernel import index as index_mod
 from patchkernel.cli import _config_from_args, build_parser, main
 from patchkernel.embed import load_descriptors
-from patchkernel.pipeline import PipelineConfig, config_from_file, resolve_threads
+from patchkernel.errors import FormatError
+from patchkernel.pipeline import CONFIG_KEYS, PipelineConfig, config_from_file, resolve_threads
 from patchkernel.raster import Image, write_pgm
 
-FAST = [
-    "--n", "8", "--pca-dim", "16", "--components", "4",
-    "--scales", "32,64", "--seed", "42",
-]
+# FAST's proposal keys, the only ones of it that `embed` reads.
+FAST_PROPOSALS = ["--n", "8", "--scales", "32,64"]
+FAST = FAST_PROPOSALS + ["--pca-dim", "16", "--components", "4", "--seed", "42"]
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +93,7 @@ def test_propose_offers_only_the_proposal_flags(capsys):
 
 def test_embed_writes_kdesc(corpus, tmp_path):
     out = tmp_path / "img000.kdesc"
-    code = main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST)
+    code = main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST_PROPOSALS)
     assert code == 0
     dset = load_descriptors(out)
     assert dset.image_id == "img000"
@@ -103,7 +103,7 @@ def test_embed_writes_kdesc(corpus, tmp_path):
 
 def test_embed_writes_the_pipeline_kdesc_bytes(corpus, artifacts, tmp_path):
     out = tmp_path / "img000.kdesc"
-    assert main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST) == 0
+    assert main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST_PROPOSALS) == 0
     assert out.read_bytes() == (artifacts / "descriptors" / "img000.kdesc").read_bytes()
 
 
@@ -266,6 +266,7 @@ def test_missing_image_error_format(tmp_path, capsys):
          "{junk}: bad magic at byte offset 0"),
         (["search", "--index", "{junk}", "--queries", "{junk}"],
          "{junk}: bad magic at byte offset 0"),
+        (["synth", "--out", "{out}", "--n-base", "0"], "n_base must be >= 1, got 0"),
     ],
 )
 def test_command_failure_is_one_line_named_by_command(argv, message, tmp_path, capsys):
@@ -296,7 +297,7 @@ def test_encode_reproduces_pipeline_index(artifacts, tmp_path):
     out = tmp_path / "all.kidx"
     code = main(
         ["encode", *map(str, descs), "--model", str(artifacts / "model.kmdl"),
-         "--out", str(out)] + FAST
+         "--out", str(out)]
     )
     assert code == 0
     assert out.read_bytes() == (artifacts / "index.kidx").read_bytes()
@@ -322,7 +323,8 @@ def test_config_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["n_proposals=abc", "rotations=maybe", "nms_iou=1.5", "scales=8", "threads=0"]
+    "line",
+    ["n_proposals=abc", "rotations=maybe", "nms_iou=1.5", "scales=8", "threads=0", "seed=-1"],
 )
 def test_config_file_bad_value_names_line_and_key(line, tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
@@ -338,6 +340,19 @@ def test_config_file_bad_value_names_line_and_key(line, tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_config_file_not_utf8_is_a_format_error(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_bytes(b"seed=7\n\xff\n")
+    with pytest.raises(FormatError, match=f"{cfg_file}: not UTF-8 at byte offset 7"):
+        config_from_file(cfg_file)
+    code = main(
+        ["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o"),
+         "--config", str(cfg_file)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"pipeline: {cfg_file}: not UTF-8 at byte offset 7\n"
+
+
 def test_flags_override_config_file(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("rotations=on\nwhiten=off\nscales=32\n")
@@ -349,6 +364,54 @@ def test_flags_override_config_file(tmp_path):
         use_proposals=False, rotations=False, whiten=True, scales=(16, 48),
         normalization="raw",
     )
+
+
+# The config fields each command's stages read, and the arguments it needs besides.
+PROPOSE_FIELDS = {"n_proposals", "nms_iou", "scales"}
+EMBED_FIELDS = PROPOSE_FIELDS | {"rotations", "use_proposals"}
+TRAIN_FIELDS = EMBED_FIELDS | {"threads", "pca_dim", "gmm_components", "whiten", "seed"}
+COMMAND_FIELDS = {
+    "propose": (["img.pgm"], PROPOSE_FIELDS),
+    "embed": (["img.pgm"], EMBED_FIELDS),
+    "train": (["--corpus", "c"], TRAIN_FIELDS),
+    "encode": (["a.kdesc", "--model", "m"], {"normalization"}),
+    "pipeline": (["--corpus", "c"], TRAIN_FIELDS | {"normalization"}),
+}
+FLAG_VALUES = {
+    "n_proposals": "9", "nms_iou": "0.4", "scales": "32,48", "rotations": "off",
+    "threads": "2", "pca_dim": "24", "gmm_components": "3", "seed": "7",
+    "normalization": "raw",
+}
+
+
+@pytest.mark.parametrize("key", CONFIG_KEYS, ids=[key.field for key in CONFIG_KEYS])
+@pytest.mark.parametrize("command", list(COMMAND_FIELDS))
+def test_command_offers_a_flag_iff_its_stages_read_the_key(command, key, capsys):
+    positional, fields = COMMAND_FIELDS[command]
+    flag = [key.flag] if key.switch is not None else [key.flag, FLAG_VALUES[key.field]]
+    argv = [command, *positional, "--out", "o", *flag]
+    if key.field in fields:
+        value = key.switch if key.switch is not None else key.parse(flag[1])
+        assert getattr(_config_from_args(build_parser().parse_args(argv)), key.field) == value
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["embed", "train", "encode", "pipeline"])
+def test_config_file_sets_every_key_on_every_command_that_takes_it(command, tmp_path):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(
+        "".join(f"{key.field}={FLAG_VALUES.get(key.field, key.switch)}\n" for key in CONFIG_KEYS)
+    )
+    positional, _ = COMMAND_FIELDS[command]
+    args = build_parser().parse_args(
+        [command, *positional, "--out", "o", "--config", str(cfg_file)]
+    )
+    assert _config_from_args(args) == config_from_file(cfg_file)
+    assert config_from_file(cfg_file) != PipelineConfig()
 
 
 def test_threads_env_override(monkeypatch):

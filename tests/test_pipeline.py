@@ -78,6 +78,8 @@ class TestConfig:
         for threads in (0, -4):
             with pytest.raises(ValueError, match=f"thread count must be >= 1, got {threads}"):
                 PipelineConfig(threads=threads)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            PipelineConfig(seed=-1)
 
     @pytest.mark.parametrize("use_proposals", [True, False], ids=["proposals", "global-baseline"])
     def test_proposal_settings_checked_when_built(self, use_proposals):

@@ -1,6 +1,7 @@
 """Synthetic corpus generator tests."""
 
 import numpy as np
+import pytest
 
 from patchkernel.evaluation import load_ground_truth
 from patchkernel.raster import read_pgm
@@ -52,3 +53,15 @@ def test_referential_integrity_and_image_validity(tmp_path):
         img = read_pgm(path)
         assert img.pixels.shape == (128, 128)
         assert np.all(np.isfinite(img.pixels))
+
+
+@pytest.mark.parametrize(
+    "n_base, seed, message",
+    [(0, 42, "n_base must be >= 1, got 0"), (2, -1, "seed must be >= 0, got -1")],
+    ids=["n-base-0", "seed-minus-1"],
+)
+def test_bad_arguments_refused_before_the_directory_is_made(n_base, seed, message, tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match=message):
+        generate_corpus(out, n_base=n_base, seed=seed)
+    assert not out.exists()
