@@ -76,11 +76,7 @@ def _cmd_propose(args: argparse.Namespace) -> None:
 def _cmd_embed(args: argparse.Namespace) -> None:
     img = read_pgm(args.image)
     cfg = _config_from_args(args)
-    if args.image_id is not None:
-        image_id = args.image_id
-    else:
-        image_id = Path(args.image).stem
-    dset = describe_image(image_id, img, cfg)
+    dset = describe_image(Path(args.image).stem, img, cfg)
     save_descriptors(args.out, dset)
     print(f"wrote {dset.values.shape[0]} descriptors to {args.out}")
 
@@ -184,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="compute patch descriptors for one image")
     p.add_argument("image", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--image-id", type=str)
     _add_config_flags(p, "propose", "describe")
     p.set_defaults(func=_cmd_embed)
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import check_length, read_container, refuse_first
 from .raster import Image, resize_bilinear
 
 PATCH_SIDE = 32
@@ -211,19 +212,38 @@ def _record_dtype(dim: int) -> np.dtype:
     return np.dtype(META_DTYPE.descr + [("values", "<f4", (dim,))])
 
 
+def _checked_values(path: Path, records: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """KDESC records' float64 values and row norms. Refuses, naming the record
+    and its byte offset, a rotation index above 7, a non-finite objectness and
+    a non-finite or all-zero row."""
+
+    def refuse(bad: np.ndarray, field: str, problem: Callable[[int], str]) -> None:
+        at = _KDESC_HEADER.size + records.dtype.fields[field][1]
+        size = records.dtype.itemsize
+        refuse_first(path, bad, lambda i: (f"record {i}: {problem(i)}", at + i * size))
+
+    rotation = records["rotation_index"]
+    refuse(rotation >= ROTATION_COUNT, "rotation_index",
+           lambda i: f"rotation index {rotation[i]} not in 0..{ROTATION_COUNT - 1}")
+    refuse(~np.isfinite(records["objectness"]), "objectness", lambda i: "non-finite objectness")
+    finite = np.isfinite(records["values"]).all(axis=1)
+    with np.errstate(invalid="ignore"):  # a signalling NaN row is refused below
+        values = records["values"].astype(np.float64)
+    norms = np.linalg.norm(values, axis=1)
+    refuse(~finite | (norms == 0.0), "values",
+           lambda i: f"{'zero-norm' if finite[i] else 'non-finite'} descriptor values")
+    return values, norms
+
+
 def save_descriptors(path: str | Path, dset: DescriptorSet) -> None:
-    """Write a KDESC file (little-endian, f32 descriptor payload)."""
-    meta = dset.meta
-    bad = meta.rotation_index >= ROTATION_COUNT
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"record {i}: rotation index {meta.rotation_index[i]} not in 0..{ROTATION_COUNT - 1}"
-        )
-    records = np.empty(len(meta), dtype=_record_dtype(dset.dim))
-    records[list(META_DTYPE.names)] = meta
-    records["values"] = dset.values
-    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dset.dim, len(meta))
+    """Write a KDESC file (little-endian, f32 descriptor payload); a record that
+    load_descriptors would refuse is refused before the file is created."""
+    records = np.empty(len(dset.meta), dtype=_record_dtype(dset.dim))
+    records[list(META_DTYPE.names)] = dset.meta
+    with np.errstate(over="ignore"):  # a value beyond f32 range becomes inf, refused below
+        records["values"] = dset.values
+    _checked_values(Path(path), records)
+    header = _KDESC_HEADER.pack(KDESC_MAGIC, KDESC_VERSION, dset.dim, len(records))
     Path(path).write_bytes(header + records.tobytes())
 
 
@@ -234,59 +254,14 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     Malformed input raises a parse error naming the failing byte offset.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _KDESC_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    magic, version, dim, count = _KDESC_HEADER.unpack_from(data, 0)
-    if magic != KDESC_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    if version != KDESC_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    if dim == 0:
-        raise FormatError(f"{path}: zero descriptor dimension at byte offset 8")
-    if count == 0:
-        raise FormatError(f"{path}: empty descriptor file (count=0 at byte offset 12)")
+    data, (dim, count) = read_container(
+        path, _KDESC_HEADER, KDESC_MAGIC, KDESC_VERSION, ("descriptor dimension", "record count")
+    )
     # Sized in Python ints first: a huge dim in a short file must not reach
     # the record dtype, whose shape has to fit a C int.
-    meta_size = _record_dtype(0).itemsize
-    expected = _KDESC_HEADER.size + count * (meta_size + 4 * dim)
-    if len(data) != expected:
-        offset = min(len(data), expected)
-        raise FormatError(
-            f"{path}: expected {expected} bytes for {count} records, "
-            f"failed at byte offset {offset}"
-        )
-    dtype = _record_dtype(dim)
-    records = np.frombuffer(data, dtype=dtype, count=count, offset=_KDESC_HEADER.size)
-
-    def record_offset(idx: int, name: str) -> int:
-        return _KDESC_HEADER.size + idx * dtype.itemsize + dtype.fields[name][1]
-
-    rotation = records["rotation_index"]
-    if np.any(rotation >= ROTATION_COUNT):
-        idx = int(np.argmax(rotation >= ROTATION_COUNT))
-        raise FormatError(
-            f"{path}: rotation index {rotation[idx]} >= {ROTATION_COUNT} "
-            f"at byte offset {record_offset(idx, 'rotation_index')}"
-        )
-    finite_objectness = np.isfinite(records["objectness"])
-    if not finite_objectness.all():
-        idx = int(np.argmin(finite_objectness))
-        raise FormatError(
-            f"{path}: non-finite objectness at byte offset {record_offset(idx, 'objectness')}"
-        )
-
-    finite = np.isfinite(records["values"]).all(axis=1)
-    with np.errstate(invalid="ignore"):  # a signalling NaN row is refused below
-        values = records["values"].astype(np.float64)
-    norms = np.linalg.norm(values, axis=1)
-    bad = ~finite | (norms == 0.0)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        kind = "non-finite" if not finite[idx] else "zero-norm"
-        raise FormatError(
-            f"{path}: {kind} descriptor values at byte offset {record_offset(idx, 'values')}"
-        )
+    check_length(path, data, _KDESC_HEADER.size + count * (_record_dtype(0).itemsize + 4 * dim))
+    records = np.frombuffer(data, dtype=_record_dtype(dim), count=count, offset=_KDESC_HEADER.size)
+    values, norms = _checked_values(path, records)
     # Rows already unit within the descriptor invariant are kept verbatim so
     # export -> import -> export is byte-stable; anything else is rescaled.
     off_unit = np.abs(norms - 1.0) > 1e-6

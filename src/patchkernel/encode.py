@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, TrainingError
+from .errors import FormatError, TrainingError, check_length, read_container, refuse_first
 
 KMDL_MAGIC = b"KMDL"
 KMDL_VERSION = 1
@@ -359,18 +359,18 @@ _KMDL_HEADER = struct.Struct("<4sIIIIB")
 
 
 def save_model(path: str | Path, pca: PCAModel, gmm: GMMModel) -> None:
-    """Write the KMDL codebook file (little-endian, f64 payload)."""
+    """Write the KMDL codebook file (little-endian, f64 payload); a value that
+    load_model would refuse is refused before the file is created."""
     if pca.out_dim != gmm.dim:
         raise ValueError(f"PCA output dim {pca.out_dim} != GMM dim {gmm.dim}")
+    parts = (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
+    payload = np.concatenate([np.ravel(part) for part in parts], dtype="<f8")
+    _check_payload(Path(path), payload, tuple(np.size(part) for part in parts))
     header = _KMDL_HEADER.pack(
         KMDL_MAGIC, KMDL_VERSION, pca.input_dim, pca.out_dim, gmm.components,
         1 if pca.whitened else 0,
     )
-    payload = b"".join(
-        np.ascontiguousarray(part, dtype="<f8").tobytes()
-        for part in (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
-    )
-    Path(path).write_bytes(header + payload)
+    Path(path).write_bytes(header + payload.tobytes())
 
 
 def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
@@ -383,54 +383,34 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     bounds projecting and aggregating unit descriptors cannot overflow.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _KMDL_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    magic, version, input_dim, out_dim, comp, whit = _KMDL_HEADER.unpack_from(data, 0)
-    if magic != KMDL_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    if version != KMDL_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
-    for offset, name, value in ((8, "input dim", input_dim), (12, "output dim", out_dim),
-                                (16, "component count", comp)):
-        if value == 0:
-            raise FormatError(f"{path}: {name} is 0 at byte offset {offset}")
+    data, (input_dim, out_dim, comp, whit) = read_container(
+        path, _KMDL_HEADER, KMDL_MAGIC, KMDL_VERSION, ("input dim", "output dim", "component count")
+    )
     if out_dim > input_dim:
         raise FormatError(f"{path}: output dim {out_dim} > input dim {input_dim} at byte offset 12")
     if whit > 1:
         raise FormatError(f"{path}: whitened flag {whit} is not 0 or 1 at byte offset 20")
-    fields = (  # name, value count, must be >= 1e-30
-        ("PCA mean", input_dim, False),
-        ("PCA basis", out_dim * input_dim, False),
-        ("GMM weight", comp, True),
-        ("GMM mean", comp * out_dim, False),
-        ("GMM variance", comp * out_dim, True),
-    )
-    expected = _KMDL_HEADER.size + 8 * sum(cnt for _, cnt, _ in fields)
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: expected {expected} bytes, failed at byte offset {min(len(data), expected)}"
-        )
-    offset = _KMDL_HEADER.size
-    parts = []
-    for name, cnt, positive in fields:
-        part = np.frombuffer(data, dtype="<f8", count=cnt, offset=offset).astype(np.float64)
-        bad = ~(np.abs(part) <= 1e30) | (positive & ~(part >= 1e-30))
-        if bad.any():
-            i = int(np.argmax(bad))
-            rule = "in [1e-30, 1e30]" if positive else "in [-1e30, 1e30]"
-            raise FormatError(
-                f"{path}: {name} {float(part[i])} is not {rule} at byte offset {offset + 8 * i}"
-            )
-        parts.append(part)
-        offset += 8 * cnt
-    mean, basis, weights, means, variances = parts
-    pca = PCAModel(
-        mean=mean, basis=basis.reshape(out_dim, input_dim), whitened=bool(whit)
-    )
-    gmm = GMMModel(
-        weights=weights,
-        means=means.reshape(comp, out_dim),
-        variances=variances.reshape(comp, out_dim),
-    )
+    sizes = (input_dim, out_dim * input_dim, comp, comp * out_dim, comp * out_dim)
+    check_length(path, data, _KMDL_HEADER.size + 8 * sum(sizes))
+    payload = np.frombuffer(data, dtype="<f8", offset=_KMDL_HEADER.size).astype(np.float64)
+    _check_payload(path, payload, sizes)
+    mean, basis, weights, means, variances = np.split(payload, np.cumsum(sizes)[:-1])
+    pca = PCAModel(mean, basis.reshape(out_dim, input_dim), whitened=bool(whit))
+    gmm = GMMModel(weights, means.reshape(comp, out_dim), variances.reshape(comp, out_dim))
     return pca, gmm
+
+
+def _check_payload(path: Path, payload: np.ndarray, sizes: tuple[int, ...]) -> None:
+    """Refuse a KMDL value that is not finite or exceeds 1e30 in magnitude, or
+    a weight or variance below 1e-30, naming its array, index and byte offset."""
+    ends = np.cumsum(sizes)
+    floor = np.repeat((-1e30, -1e30, 1e-30, -1e30, 1e-30), sizes)
+    bad = ~(np.abs(payload) <= 1e30) | ~(payload >= floor)
+
+    def describe(i: int) -> tuple[str, int]:
+        part = int(np.searchsorted(ends, i, side="right"))
+        name = ("PCA mean", "PCA basis", "GMM weight", "GMM mean", "GMM variance")[part]
+        at = f"{name}[{i - ends[part] + sizes[part]}] = {payload[i]}"
+        return f"{at} is not in [{floor[i]:.0e}, 1e+30]", _KMDL_HEADER.size + 8 * i
+
+    refuse_first(path, bad, describe)

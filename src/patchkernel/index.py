@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_length, read_container, refuse_first
 
 KIDX_MAGIC = b"KIDX"
 KIDX_VERSION = 1
@@ -65,13 +65,17 @@ def _assemble(rows: dict[str, np.ndarray], dim: int) -> Index:
 
 
 def build(entries: list[IndexEntry]) -> Index:
-    """Build an index; duplicate ids and dim mismatches name the offender."""
+    """Build an index; duplicate ids, dim mismatches and empty or non-finite
+    vectors (once rounded to f32) name the offender."""
     rows: dict[str, np.ndarray] = {}
     dim: int | None = None
     for entry in entries:
-        values = np.asarray(entry.values, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a value beyond f32 range becomes inf, refused below
+            values = np.asarray(entry.values, dtype=np.float32)
         if values.ndim != 1:
             raise ValueError(f"entry {entry.image_id!r}: vector must be 1-D")
+        if not values.size or not np.isfinite(values).all():
+            raise ValueError(f"entry {entry.image_id!r}: vector must be non-empty and finite")
         if entry.image_id in rows:
             raise ValueError(f"duplicate image id {entry.image_id!r}")
         if dim is None:
@@ -133,14 +137,9 @@ def save(path: str | Path, index: Index) -> None:
 def load(path: str | Path) -> Index:
     """Read a KIDX file; corrupt input raises a parse error naming the offset."""
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < _KIDX_HEADER.size:
-        raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
-    magic, version, dim, count = _KIDX_HEADER.unpack_from(data, 0)
-    if magic != KIDX_MAGIC:
-        raise FormatError(f"{path}: bad magic at byte offset 0")
-    if version != KIDX_VERSION:
-        raise FormatError(f"{path}: unsupported version {version} at byte offset 4")
+    data, (dim, count) = read_container(
+        path, _KIDX_HEADER, KIDX_MAGIC, KIDX_VERSION, ("dimension",), may_be_empty=True
+    )
     offset = _KIDX_HEADER.size
     rows: dict[str, np.ndarray] = {}
     value_offset: dict[str, int] = {}
@@ -162,14 +161,13 @@ def load(path: str | Path) -> Index:
         rows[image_id] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
         value_offset[image_id] = offset
         offset += 4 * dim
-    if offset != len(data):
-        raise FormatError(f"{path}: {len(data) - offset} trailing bytes at byte offset {offset}")
+    check_length(path, data, offset)
     index = _assemble(rows, dim)
     # min and max propagate NaN and expose an infinity without a temporary
     # the size of the matrix; only a file that fails them is searched.
     matrix = index._matrix
     if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
-        row, col = np.argwhere(~np.isfinite(matrix))[0]
-        at = value_offset[index._ids[row]] + 4 * int(col)
-        raise FormatError(f"{path}: non-finite value at byte offset {at}")
+        refuse_first(path, ~np.isfinite(matrix), lambda i: (
+            "non-finite value", value_offset[index._ids[i // dim]] + 4 * (i % dim)
+        ))
     return index

@@ -101,6 +101,15 @@ def test_embed_writes_kdesc(corpus, tmp_path):
     assert dset.values.shape[0] % 8 == 0  # rotations on by default
 
 
+def test_embed_refuses_image_id(corpus, tmp_path, capsys):
+    # KDESC carries no id; the loader takes the file stem.
+    with pytest.raises(SystemExit) as exc:
+        main(["embed", str(corpus / "img000.pgm"), "--out", str(tmp_path / "x.kdesc"),
+              "--image-id", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --image-id x" in capsys.readouterr().err
+
+
 def test_embed_writes_the_pipeline_kdesc_bytes(corpus, artifacts, tmp_path):
     out = tmp_path / "img000.kdesc"
     assert main(["embed", str(corpus / "img000.pgm"), "--out", str(out)] + FAST_PROPOSALS) == 0

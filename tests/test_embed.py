@@ -301,7 +301,7 @@ class TestKdesc:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.kdesc"
         path.write_bytes(struct.pack("<4sIII", b"KDSC", 1, 4, 0))
-        with pytest.raises(FormatError, match="empty"):
+        with pytest.raises(FormatError, match="record count is 0 at byte offset 12$"):
             load_descriptors(path)
 
     def test_bad_magic_names_offset(self, tmp_path):
@@ -421,6 +421,37 @@ class TestKdesc:
         with pytest.raises(ValueError, match=f"record 3: rotation index {rotation_index} not in 0..7"):
             save_descriptors(path, dset)
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "record, field, value, problem",
+        [
+            (2, "objectness", np.nan, "non-finite objectness"),
+            (4, "values", 1e39, "non-finite descriptor values"),  # inf once rounded to f32
+            (3, "values", 1e-50, "zero-norm descriptor values"),  # all zero once rounded to f32
+        ],
+        ids=["nan-objectness", "f32-overflow", "f32-underflow"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, record, field, value, problem):
+        dset = make_set(np.random.default_rng(33))
+        if field == "objectness":
+            dset.meta.objectness[record] = value
+        else:
+            dset.values[record] = 0.0
+            dset.values[record, 5] = value
+        offset = 16 + record * (25 + 4 * DESCRIPTOR_DIM) + (21 if field == "objectness" else 25)
+        message = f"record {record}: {problem} at byte offset {offset}$"
+        path = tmp_path / "img000.kdesc"
+        with pytest.raises(FormatError, match=message) as saved:
+            save_descriptors(path, dset)
+        assert not path.exists()
+        records = np.empty(len(dset.meta), dtype=_record_dtype(dset.dim))
+        records[list(META_DTYPE.names)] = dset.meta
+        with np.errstate(over="ignore"):
+            records["values"] = dset.values
+        path.write_bytes(struct.pack("<4sIII", b"KDSC", 1, dset.dim, 6) + records.tobytes())
+        with pytest.raises(FormatError) as loaded:
+            load_descriptors(path)
+        assert str(loaded.value) == str(saved.value)
 
     def test_truncation_names_offset(self, tmp_path):
         rng = np.random.default_rng(29)

@@ -756,3 +756,33 @@ class TestModelFile:
         path.write_bytes(header + values.astype("<f8").tobytes())
         with pytest.raises(FormatError, match=f"at byte offset {offset}$"):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "array, at, value, message",
+        [
+            ("weights", 1, 0.0,
+             r"GMM weight\[1\] = 0.0 is not in \[1e-30, 1e\+30\] at byte offset 125$"),
+            ("variances", (1, 0), np.nan,
+             r"GMM variance\[2\] = nan is not in \[1e-30, 1e\+30\] at byte offset 181$"),
+            ("basis", (0, 1), -1e31,
+             r"PCA basis\[1\] = -1e\+31 is not in \[-1e\+30, 1e\+30\] at byte offset 61$"),
+        ],
+        ids=["zero-weight", "nan-variance", "huge-basis"],
+    )
+    def test_save_refuses_what_load_refuses(self, tmp_path, array, at, value, message):
+        parts = {
+            "mean": np.full(4, 0.5), "basis": np.eye(2, 4), "weights": np.full(2, 0.5),
+            "means": np.zeros((2, 2)), "variances": np.ones((2, 2)),
+        }
+        parts[array][at] = value
+        pca = PCAModel(mean=parts["mean"], basis=parts["basis"])
+        gmm = GMMModel(weights=parts["weights"], means=parts["means"], variances=parts["variances"])
+        path = tmp_path / "bad.kmdl"
+        with pytest.raises(FormatError, match=message) as saved:
+            save_model(path, pca, gmm)
+        assert not path.exists()
+        header = struct.pack("<4sIIIIB", b"KMDL", 1, 4, 2, 2, 0)
+        path.write_bytes(header + b"".join(part.astype("<f8").tobytes() for part in parts.values()))
+        with pytest.raises(FormatError) as loaded:
+            load_model(path)
+        assert str(loaded.value) == str(saved.value)

@@ -52,6 +52,17 @@ class TestBuild:
         with pytest.raises(ValueError, match="'b'"):
             build(entries)
 
+    @pytest.mark.parametrize(
+        "values, problem",
+        [(np.array([0.6, np.nan]), "finite"), (np.array([0.6, 1e39]), "finite"),
+         (np.zeros(0), "non-empty")],
+        ids=["nan", "f32-overflow", "zero-length"],
+    )
+    def test_bad_vector_names_offender(self, values, problem):
+        entries = [IndexEntry(image_id="a", values=values), IndexEntry(image_id="b", values=values)]
+        with pytest.raises(ValueError, match=f"entry 'a': .*{problem}"):
+            build(entries)
+
     def test_insertion_order_irrelevant(self):
         rng = np.random.default_rng(71)
         entries = make_entries(rng, count=8)
@@ -242,6 +253,15 @@ class TestPersistence:
         path.write_bytes(path.read_bytes() + b"x")
         with pytest.raises(FormatError, match="trailing"):
             load(path)
+
+    def test_zero_dim_with_entries_rejected(self, tmp_path):
+        path = tmp_path / "dim0.kidx"
+        path.write_bytes(struct.pack("<4sIII", b"KIDX", 1, 0, 1) + struct.pack("<I", 1) + b"a")
+        with pytest.raises(FormatError, match="dimension is 0 at byte offset 8$"):
+            load(path)
+        save(path, build([]))
+        assert path.read_bytes() == struct.pack("<4sIII", b"KIDX", 1, 0, 0)
+        assert len(load(path)) == 0
 
     def test_non_utf8_id_rejected(self, tmp_path):
         path = tmp_path / "bad_id.kidx"
