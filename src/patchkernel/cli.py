@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import encode, evaluation, index as index_mod, proposals, synth
@@ -27,6 +26,7 @@ from .pipeline import (
     run_pipeline,
     stage,
     train_codebook,
+    with_settings,
 )
 from .raster import read_pgm
 
@@ -56,9 +56,7 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         for key in CONFIG_KEYS
         if getattr(args, key.field, None) is not None
     }
-    if updates.get("use_proposals") is False:
-        updates.setdefault("rotations", False)
-    return replace(cfg, **updates)
+    return with_settings(cfg, updates)
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:

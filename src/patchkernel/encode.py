@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, TrainingError, check_length, read_container, refuse_first
+from .errors import FormatError, TrainingError, check_header, check_length, refuse_first
 
 KMDL_MAGIC = b"KMDL"
 KMDL_VERSION = 1
@@ -359,37 +359,33 @@ _KMDL_HEADER = struct.Struct("<4sIIIIB")
 
 
 def save_model(path: str | Path, pca: PCAModel, gmm: GMMModel) -> None:
-    """Write the KMDL codebook file (little-endian, f64 payload); a value that
-    load_model would refuse is refused before the file is created."""
+    """Write the KMDL codebook file (little-endian, f64 payload); a header or
+    value that load_model would refuse is refused before the file is created."""
+    path = Path(path)
     if pca.out_dim != gmm.dim:
         raise ValueError(f"PCA output dim {pca.out_dim} != GMM dim {gmm.dim}")
-    parts = (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
-    payload = np.concatenate([np.ravel(part) for part in parts], dtype="<f8")
-    _check_payload(Path(path), payload, tuple(np.size(part) for part in parts))
     header = _KMDL_HEADER.pack(
         KMDL_MAGIC, KMDL_VERSION, pca.input_dim, pca.out_dim, gmm.components,
         1 if pca.whitened else 0,
     )
-    Path(path).write_bytes(header + payload.tobytes())
+    _checked_header(path, header)
+    parts = (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
+    payload = np.concatenate([np.ravel(part) for part in parts], dtype="<f8")
+    _check_payload(path, payload, tuple(np.size(part) for part in parts))
+    path.write_bytes(header + payload.tobytes())
 
 
 def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     """Read a KMDL file back; bit-exact inverse of save_model.
 
-    Refuses, with the byte offset, what no trained codebook holds: a zero
-    dimension or component count, an output dim above the input dim, a
-    whitened byte other than 0/1, a value that is not finite or exceeds
+    Refuses, with the byte offset, what no trained codebook holds: a header
+    that _checked_header refuses, a value that is not finite or exceeds
     1e30 in magnitude, or a weight or variance below 1e-30. Within those
     bounds projecting and aggregating unit descriptors cannot overflow.
     """
     path = Path(path)
-    data, (input_dim, out_dim, comp, whit) = read_container(
-        path, _KMDL_HEADER, KMDL_MAGIC, KMDL_VERSION, ("input dim", "output dim", "component count")
-    )
-    if out_dim > input_dim:
-        raise FormatError(f"{path}: output dim {out_dim} > input dim {input_dim} at byte offset 12")
-    if whit > 1:
-        raise FormatError(f"{path}: whitened flag {whit} is not 0 or 1 at byte offset 20")
+    data = path.read_bytes()
+    input_dim, out_dim, comp, whit = _checked_header(path, data)
     sizes = (input_dim, out_dim * input_dim, comp, comp * out_dim, comp * out_dim)
     check_length(path, data, _KMDL_HEADER.size + 8 * sum(sizes))
     payload = np.frombuffer(data, dtype="<f8", offset=_KMDL_HEADER.size).astype(np.float64)
@@ -398,6 +394,24 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     pca = PCAModel(mean, basis.reshape(out_dim, input_dim), whitened=bool(whit))
     gmm = GMMModel(weights, means.reshape(comp, out_dim), variances.reshape(comp, out_dim))
     return pca, gmm
+
+
+def _checked_header(path: Path, data: bytes) -> list[int]:
+    """The KMDL header fields (input dim, output dim, component count,
+    whitened) at the start of `data`, for the writer and the reader alike.
+    Refuses, naming the byte offset, a short header, another magic or
+    version, a zero dimension or component count, an output dim above the
+    input dim and a whitened byte other than 0/1."""
+    fields = check_header(
+        path, data, _KMDL_HEADER, KMDL_MAGIC, KMDL_VERSION,
+        ("input dim", "output dim", "component count"),
+    )
+    input_dim, out_dim, _, whit = fields
+    if out_dim > input_dim:
+        raise FormatError(f"{path}: output dim {out_dim} > input dim {input_dim} at byte offset 12")
+    if whit > 1:
+        raise FormatError(f"{path}: whitened flag {whit} is not 0 or 1 at byte offset 20")
+    return fields
 
 
 def _check_payload(path: Path, payload: np.ndarray, sizes: tuple[int, ...]) -> None:

@@ -44,10 +44,18 @@ def read_container(
     path: Path, header: Struct, magic: bytes, version: int, nonzero: tuple[str, ...],
     may_be_empty: bool = False,
 ) -> tuple[bytes, list[int]]:
-    """A container's bytes and header fields; refuses a short header, another
-    magic or version, and a 0 in the leading fields that `nonzero` names,
-    unless `may_be_empty` and the last field, the entry count, is 0."""
+    """A container's bytes and its header fields, which check_header refuses."""
     data = path.read_bytes()
+    return data, check_header(path, data, header, magic, version, nonzero, may_be_empty)
+
+
+def check_header(
+    path: Path, data: bytes, header: Struct, magic: bytes, version: int,
+    nonzero: tuple[str, ...], may_be_empty: bool = False,
+) -> list[int]:
+    """The header fields at the start of `data`; refuses a short header,
+    another magic or version, and a 0 in the leading fields that `nonzero`
+    names, unless `may_be_empty` and the last field, the entry count, is 0."""
     if len(data) < header.size:
         raise FormatError(f"{path}: truncated header at byte offset {len(data)}")
     found, found_version, *fields = header.unpack_from(data)
@@ -58,7 +66,7 @@ def read_container(
     for i, (name, value) in enumerate(zip(nonzero, fields)):
         if value == 0 and not (may_be_empty and fields[-1] == 0):
             raise FormatError(f"{path}: {name} is 0 at byte offset {8 + 4 * i}")
-    return data, fields
+    return fields
 
 
 def check_length(path: Path, data: bytes, expected: int) -> None:

@@ -134,9 +134,10 @@ def write_curve_csv(path: str | Path, curve: SensitivityCurve) -> None:
 
 def load_ground_truth(path: str | Path) -> dict[str, dict[str, str]]:
     """Read the query_id,image_id,label CSV (labels: rel / nonrel / junk)
-    into query_id -> {image_id -> label}."""
+    into query_id -> {image_id -> label}; a repeated pair is refused."""
     lines = read_utf8(path).strip().splitlines()
     relevance: dict[str, dict[str, str]] = {}
+    first_line: dict[tuple[str, str], int] = {}
     for lineno, line in enumerate(lines, start=1):
         if lineno == 1 and line == "query_id,image_id,label":
             continue
@@ -146,6 +147,10 @@ def load_ground_truth(path: str | Path) -> dict[str, dict[str, str]]:
         query_id, image_id, label = (p.strip() for p in parts)
         if label not in LABELS:
             raise FormatError(f"{path}:{lineno}: unknown label {label!r}")
+        first = first_line.setdefault((query_id, image_id), lineno)
+        if first != lineno:
+            pair = f"({query_id}, {image_id})"
+            raise FormatError(f"{path}:{lineno}: pair {pair} repeats line {first}")
         relevance.setdefault(query_id, {})[image_id] = label
     if not relevance:
         raise FormatError(f"{path}: ground truth file has no rows")

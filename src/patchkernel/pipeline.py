@@ -134,15 +134,24 @@ CONFIG_KEYS = (
 )
 
 
-def config_from_file(path: str | Path, base: PipelineConfig | None = None) -> PipelineConfig:
-    """Overlay key=value lines (# comments allowed) onto a base config.
+def with_settings(cfg: PipelineConfig, settings: dict[str, object]) -> PipelineConfig:
+    """cfg with the given field values. Turning proposals off also turns
+    rotations off unless `settings` sets them, in a config file as by flag."""
+    if settings.get("use_proposals") is False:
+        settings = {"rotations": False, **settings}
+    return replace(cfg, **settings)
+
+
+def config_from_file(path: str | Path) -> PipelineConfig:
+    """The default config with key=value lines (# comments allowed) applied.
 
     Keys are the field names of CONFIG_KEYS. A line that does not parse, or
     whose value the config rejects, raises ValueError naming path:lineno
     and the key; a file that is not UTF-8 raises FormatError naming the
     byte offset.
     """
-    cfg = base or PipelineConfig()
+    cfg = PipelineConfig()
+    settings: dict[str, object] = {}
     parsers = {key.field: key.parse for key in CONFIG_KEYS}
     for lineno, line in enumerate(read_utf8(path).splitlines(), start=1):
         line = line.strip()
@@ -154,7 +163,8 @@ def config_from_file(path: str | Path, base: PipelineConfig | None = None) -> Pi
         if name not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown config key {name!r}")
         try:
-            cfg = replace(cfg, **{name: parsers[name](raw)})
+            settings[name] = parsers[name](raw)
+            cfg = with_settings(PipelineConfig(), settings)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {name}: {exc}") from None
     return cfg
@@ -189,10 +199,6 @@ def stage(name: str):
         raise StageError(name, str(exc)) from exc
 
 
-def full_frame_patch(img: Image) -> Patch:
-    return Patch(x=0, y=0, w=img.width, h=img.height, objectness=0.0)
-
-
 def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> DescriptorSet:
     """Proposal + rotation + embedding stage for one image.
 
@@ -208,7 +214,7 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
     if cfg.use_proposals:
         patches = propose(img, cfg)
     else:
-        patches = [full_frame_patch(img)]
+        patches = [Patch(0, 0, img.width, img.height, 0.0)]
 
     if cfg.rotations:
         pairs, turns = augment_rotations(img, patches)
@@ -217,7 +223,7 @@ def describe_image(image_id: str, img: Image, cfg: PipelineConfig) -> Descriptor
     else:
         copies = embed_patches(patch_rasters(img, patches))[:, None]
     per_patch = np.array(
-        [(patch_id, *p.rect(), 0, p.objectness) for patch_id, p in enumerate(patches)],
+        [(patch_id, *p[:4], 0, p.objectness) for patch_id, p in enumerate(patches)],
         dtype=META_DTYPE,
     )
     meta = np.repeat(per_patch, copies.shape[1]).view(np.recarray)

@@ -7,10 +7,8 @@ than their border ring look like closed objects.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -29,26 +27,14 @@ ROTATION_STEP_DEG = 45.0
 _GATHER_PIXELS = 1 << 17
 
 
-@dataclass(frozen=True)
-class Patch:
-    """Rectangular proposal with its contrast score."""
+class Patch(NamedTuple):
+    """Rectangular proposal with its contrast score; p[:4] is its (x, y, w, h)."""
 
     x: int
     y: int
     w: int
     h: int
     objectness: float
-
-    def __post_init__(self) -> None:
-        if self.w < MIN_PATCH_SIDE or self.h < MIN_PATCH_SIDE:
-            raise ValueError(f"patch size {self.w}x{self.h} below minimum {MIN_PATCH_SIDE}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"patch origin ({self.x}, {self.y}) negative")
-        if not math.isfinite(self.objectness):
-            raise ValueError("patch objectness must be finite")
-
-    def rect(self) -> tuple[int, int, int, int]:
-        return (self.x, self.y, self.w, self.h)
 
 
 def check_patch_side(img: Image) -> None:
@@ -178,19 +164,12 @@ def propose(img: Image, cfg: PipelineConfig) -> list[Patch]:
     score, y, x, side = score[order], y[order], x[order], side[order]
     kept = _greedy_nms(y, x, side, cfg.nms_iou, cfg.n_proposals)
 
-    patches = [
-        Patch(x=px, y=py, w=ps, h=ps, objectness=pscore)
-        for pscore, py, px, ps in zip(
-            score[kept].tolist(), y[kept].tolist(), x[kept].tolist(), side[kept].tolist()
-        )
-    ]
+    side = side[kept].tolist()
+    patches = list(map(Patch, x[kept].tolist(), y[kept].tolist(), side, side, score[kept].tolist()))
     if len(patches) < cfg.n_proposals:
         frame = (0, 0, img.width, img.height)
-        if frame not in (p.rect() for p in patches):
-            frame_score = _center_ring_score(ii, 0, 0, img.width, img.height)
-            patches.append(
-                Patch(x=0, y=0, w=img.width, h=img.height, objectness=float(frame_score))
-            )
+        if frame not in (p[:4] for p in patches):
+            patches.append(Patch(*frame, float(_center_ring_score(ii, *frame))))
     return patches
 
 
@@ -199,22 +178,30 @@ def patch_rasters(img: Image, patches: list[Patch]) -> np.ndarray:
 
     Windows of one size are stacked and resized together, in blocks of at
     most _GATHER_PIXELS window pixels (one window at least); a P x P window
-    is copied verbatim.
+    is copied verbatim. The first window with a side below MIN_PATCH_SIDE, a
+    negative origin or an edge beyond the image is refused by name.
     """
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, p in enumerate(patches):
-        if p.x + p.w > img.width or p.y + p.h > img.height:
-            raise ValueError(f"patch {p.rect()} exceeds {img.width}x{img.height} image")
-        groups.setdefault((p.h, p.w), []).append(i)
-    out = np.empty((len(patches), PATCH_SIDE, PATCH_SIDE))
-    for (h, w), members in groups.items():
-        windows = np.lib.stride_tricks.sliding_window_view(img.pixels, (h, w))
-        step = max(1, _GATHER_PIXELS // (h * w))
+    rects = np.array([p[:4] for p in patches], dtype=np.intp).reshape(-1, 4)
+    x, y, w, h = rects.T
+    small = np.minimum(w, h) < MIN_PATCH_SIDE
+    negative = np.minimum(x, y) < 0
+    bad = small | negative | (x + w > img.width) | (y + h > img.height)
+    if bad.any():
+        i = int(bad.argmax())
+        problem = (
+            f"has a side below the {MIN_PATCH_SIDE}-px minimum" if small[i]
+            else "has a negative origin" if negative[i]
+            else f"exceeds {img.width}x{img.height} image"
+        )
+        raise ValueError(f"patch {tuple(rects[i].tolist())} {problem}")
+    out = np.empty((len(rects), PATCH_SIDE, PATCH_SIDE))
+    for size_w, size_h in np.unique(rects[:, 2:], axis=0).tolist():
+        members = np.flatnonzero((w == size_w) & (h == size_h))
+        windows = np.lib.stride_tricks.sliding_window_view(img.pixels, (size_h, size_w))
+        step = max(1, _GATHER_PIXELS // (size_h * size_w))
         for start in range(0, len(members), step):
             block = members[start : start + step]
-            ys = [patches[i].y for i in block]
-            xs = [patches[i].x for i in block]
-            out[block] = resize_bilinear(windows[ys, xs], PATCH_SIDE, PATCH_SIDE)
+            out[block] = resize_bilinear(windows[y[block], x[block]], PATCH_SIDE, PATCH_SIDE)
     return out
 
 
@@ -278,7 +265,7 @@ def rotation_stack(bases: np.ndarray) -> np.ndarray:
 def write_patches_csv(path: str | Path, patches: list[Patch]) -> None:
     """Serialize patches as CSV: patch_id,x,y,w,h,score with 6-digit scores."""
     lines = ["patch_id,x,y,w,h,score"]
-    for i, p in enumerate(patches):
-        lines.append(f"{i},{p.x},{p.y},{p.w},{p.h},{p.objectness:.6f}")
+    for i, (x, y, w, h, score) in enumerate(patches):
+        lines.append(f"{i},{x},{y},{w},{h},{score:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -375,6 +375,19 @@ def test_flags_override_config_file(tmp_path):
     )
 
 
+
+def test_config_file_without_proposals_builds_what_global_baseline_builds(corpus, tmp_path):
+    cfg_file = tmp_path / "gb.cfg"
+    cfg_file.write_text("use_proposals=false\npca_dim=8\ngmm_components=2\n")
+    flags = ["--global-baseline", "--pca-dim", "8", "--components", "2"]
+    for out, extra in (("flag", flags), ("file", ["--config", str(cfg_file)])):
+        assert main(["pipeline", "--corpus", str(corpus), "--out", str(tmp_path / out)] + extra) == 0
+    for name in ("model.kmdl", "index.kidx"):
+        assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+    # rotations set in the same file stay as set
+    cfg_file.write_text("use_proposals=false\nrotations=on\n")
+    assert config_from_file(cfg_file) == PipelineConfig(use_proposals=False, rotations=True)
+
 # The config fields each command's stages read, and the arguments it needs besides.
 PROPOSE_FIELDS = {"n_proposals", "nms_iou", "scales"}
 EMBED_FIELDS = PROPOSE_FIELDS | {"rotations", "use_proposals"}

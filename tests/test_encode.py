@@ -758,6 +758,28 @@ class TestModelFile:
             load_model(path)
 
     @pytest.mark.parametrize(
+        "dims, message",
+        [((2, 3, 1), r"output dim 3 > input dim 2 at byte offset 12$"),
+         ((4, 2, 0), r"component count is 0 at byte offset 16$")],
+        ids=["output-above-input", "zero-components"],
+    )
+    def test_save_refuses_the_header_load_refuses(self, tmp_path, dims, message):
+        input_dim, out_dim, comp = dims
+        pca = PCAModel(mean=np.zeros(input_dim), basis=np.ones((out_dim, input_dim)))
+        means = np.zeros((comp, out_dim))
+        gmm = GMMModel(weights=np.ones(comp), means=means, variances=means + 1.0)
+        path = tmp_path / "bad.kmdl"
+        with pytest.raises(FormatError, match=message) as saved:
+            save_model(path, pca, gmm)
+        assert not path.exists()
+        header = struct.pack("<4sIIIIB", b"KMDL", 1, input_dim, out_dim, comp, 0)
+        parts = (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
+        path.write_bytes(header + b"".join(part.astype("<f8").tobytes() for part in parts))
+        with pytest.raises(FormatError) as loaded:
+            load_model(path)
+        assert str(loaded.value) == str(saved.value)
+
+    @pytest.mark.parametrize(
         "array, at, value, message",
         [
             ("weights", 1, 0.0,

@@ -265,8 +265,11 @@ class TestCsv:
             ("query_id,image_id,label\nq,a,rel\nq,b\n", ":3: expected query_id,image_id,label"),
             ("query_id,image_id,label\nq,a,great\n", ":2: unknown label 'great'"),
             ("query_id,image_id,label\n", ": ground truth file has no rows"),
+            # the last label would win silently: rel then junk scored as junk
+            ("query_id,image_id,label\nq,a,rel\nq,b,rel\nq, a,junk\n",
+             ":4: pair (q, a) repeats line 2"),
         ],
-        ids=["two-fields", "unknown-label", "no-rows"],
+        ids=["two-fields", "unknown-label", "no-rows", "repeated-pair"],
     )
     def test_ground_truth_malformed_is_format_error(self, text, message, tmp_path):
         path = tmp_path / "gt.csv"

@@ -23,13 +23,12 @@ from patchkernel.pipeline import (
     describe_image,
     encode_sets,
     evaluate_index,
-    full_frame_patch,
     load_corpus,
     run_pipeline,
     stage,
     train_codebook,
 )
-from patchkernel.proposals import patch_rasters, propose, rotation_stack
+from patchkernel.proposals import Patch, patch_rasters, propose, rotation_stack
 from patchkernel.raster import Image, _rotate_crop_array, resize_bilinear
 from patchkernel.synth import generate_corpus
 
@@ -145,7 +144,7 @@ class TestDescribeImage:
             patches = propose(img, cfg)
             assert len({p.w for p in patches}) > 1
         else:
-            patches = [full_frame_patch(img)]
+            patches = [Patch(0, 0, img.width, img.height, 0.0)]
         n, copies = len(patches), 8 if cfg.rotations else 1
         meta = describe_image("img", img, cfg).meta
         assert isinstance(meta, np.recarray) and meta.dtype == META_DTYPE
@@ -190,8 +189,9 @@ class TestDescribeImage:
 
     def test_full_frame_patch(self):
         img = Image(np.full((48, 40), 0.2))
-        p = full_frame_patch(img)
-        assert p.rect() == (0, 0, 40, 48)
+        cfg = PipelineConfig(use_proposals=False, rotations=False)
+        (p,) = describe_image("img", img, cfg).meta
+        assert (p.x, p.y, p.w, p.h) == (0, 0, 40, 48)
 
     @pytest.mark.parametrize("use_proposals", [True, False], ids=["proposals", "global-baseline"])
     def test_image_below_patch_minimum_refused_by_size(self, use_proposals):

@@ -48,11 +48,11 @@ def reference_propose(img: Image, cfg: PipelineConfig) -> list[Patch]:
     kept = []
     for score, y, x, scale in candidates:
         rect = (x, y, scale, scale)
-        if all(iou(rect, other.rect()) < cfg.nms_iou for other in kept):
+        if all(iou(rect, other[:4]) < cfg.nms_iou for other in kept):
             kept.append(Patch(x=x, y=y, w=scale, h=scale, objectness=score))
             if len(kept) == cfg.n_proposals:
                 return kept
-    if (0, 0, img.width, img.height) not in (p.rect() for p in kept):
+    if (0, 0, img.width, img.height) not in (p[:4] for p in kept):
         score = _center_ring_score(ii, 0, 0, img.width, img.height)
         kept.append(Patch(x=0, y=0, w=img.width, h=img.height, objectness=float(score)))
     return kept
@@ -136,7 +136,7 @@ class TestPropose:
     def test_constant_image_full_frame_fallback(self):
         ps = propose(Image(np.full((64, 64), 0.5)), PipelineConfig(n_proposals=1))
         assert len(ps) == 1
-        assert ps[0].rect() == (0, 0, 64, 64)
+        assert ps[0][:4] == (0, 0, 64, 64)
         assert ps[0].objectness == 0.0
 
     def test_blob_top_window_matches_bruteforce_argmax(self):
@@ -155,16 +155,16 @@ class TestPropose:
         img = blob_image(side=64)
         ps = propose(img, PipelineConfig(n_proposals=127))
         assert len(ps) < 127
-        assert ps[-1].rect() == (0, 0, 64, 64)
+        assert ps[-1][:4] == (0, 0, 64, 64)
         survivors = ps[:-1]
-        assert all(p.rect() != (0, 0, 64, 64) for p in survivors)
+        assert all(p[:4] != (0, 0, 64, 64) for p in survivors)
 
     def test_nms_pairwise_iou_bound(self):
         rng = np.random.default_rng(11)
         img = Image(rng.random((96, 96)))
         cfg = PipelineConfig(n_proposals=40, nms_iou=0.4)
         ps = propose(img, cfg)
-        boxes = [p.rect() for p in ps if p.rect() != (0, 0, 96, 96)]
+        boxes = [p[:4] for p in ps if p[:4] != (0, 0, 96, 96)]
         for i in range(len(boxes)):
             for j in range(i + 1, len(boxes)):
                 assert iou(boxes[i], boxes[j]) < 0.4
@@ -193,7 +193,7 @@ class TestProposeMatchesReference:
                 cfg = PipelineConfig(n_proposals=n, scales=scales, nms_iou=nms_iou)
                 got = propose(img, cfg)
                 assert got == reference_propose(img, cfg), (n, nms_iou)
-                assert all(type(v) is int for p in got for v in p.rect())
+                assert all(type(v) is int for p in got for v in p[:4])
                 assert all(type(p.objectness) is float for p in got)
 
     def test_iou_at_the_threshold_suppresses(self):
@@ -208,7 +208,7 @@ class TestProposeMatchesReference:
             cfg = PipelineConfig(n_proposals=n)
             got = propose(img, cfg)
             assert got == reference_propose(img, cfg)
-            assert [p.rect() for p in got] == [(0, 0, 160, 96)]
+            assert [p[:4] for p in got] == [(0, 0, 160, 96)]
 
     def test_memory_linear_in_window_count(self):
         # ~60k windows at sides 16 and 32; a window-by-window IoU matrix
@@ -361,10 +361,19 @@ class TestAugmentRotations:
         assert np.array_equal(pairs[:, 0], stacks[np.arange(len(bases)), 2 * turns])
 
     def test_patch_validation(self):
-        with pytest.raises(ValueError):
-            Patch(x=0, y=0, w=8, h=32, objectness=0.0)
-        with pytest.raises(ValueError):
-            Patch(x=0, y=0, w=32, h=32, objectness=float("nan"))
+        # NaN objectness is refused by the KDESC writer (test_embed); propose yields none.
+        img = Image(np.zeros((32, 48)) + 0.5)
+        inside = Patch(x=0, y=0, w=32, h=32, objectness=0.0)
+        with pytest.raises(ValueError, match=r"patch \(0, 0, 8, 32\) has a side below the 16-px"):
+            patch_rasters(img, [inside, Patch(x=0, y=0, w=8, h=32, objectness=0.0)])
+        with pytest.raises(ValueError, match=r"patch \(0, 0, 32, 15\) has a side below the 16-px"):
+            augment_rotations(img, [inside, Patch(x=0, y=0, w=32, h=15, objectness=0.0)])
+        # A negative origin would wrap round in the window view instead of failing.
+        with pytest.raises(ValueError, match=r"patch \(-4, 0, 32, 32\) has a negative origin"):
+            patch_rasters(img, [inside, Patch(x=-4, y=0, w=32, h=32, objectness=0.0)])
+        with pytest.raises(ValueError, match=r"patch \(0, -1, 16, 16\) has a negative origin"):
+            # the first bad window is named, though a later one is also too small
+            patch_rasters(img, [Patch(0, -1, 16, 16, 0.0), Patch(0, 0, 8, 8, 0.0)])
 
 
 class TestPatchCsv:
