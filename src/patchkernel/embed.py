@@ -259,7 +259,7 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     )
     # Sized in Python ints first: a huge dim in a short file must not reach
     # the record dtype, whose shape has to fit a C int.
-    check_length(path, data, _KDESC_HEADER.size + count * (_record_dtype(0).itemsize + 4 * dim))
+    check_length(path, len(data), _KDESC_HEADER.size + count * (_record_dtype(0).itemsize + 4 * dim))
     records = np.frombuffer(data, dtype=_record_dtype(dim), count=count, offset=_KDESC_HEADER.size)
     values, norms = _checked_values(path, records)
     # Rows already unit within the descriptor invariant are kept verbatim so

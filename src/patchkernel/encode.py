@@ -11,6 +11,7 @@ kernel exactly, which is what makes one vector per image sufficient.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -356,22 +357,32 @@ def match_kernel_bruteforce(model: GMMModel, xs: np.ndarray, ys: np.ndarray) -> 
 
 
 _KMDL_HEADER = struct.Struct("<4sIIIIB")
+_PART_NAMES = ("PCA mean", "PCA basis", "GMM weight", "GMM mean", "GMM variance")
+
+
+def _part_shapes(input_dim: int, out_dim: int, comp: int) -> tuple[tuple[int, ...], ...]:
+    """The shapes the KMDL header fields give the payload's parts, in file
+    order: PCA mean and basis, GMM weights, means and variances."""
+    return (input_dim,), (out_dim, input_dim), (comp,), (comp, out_dim), (comp, out_dim)
 
 
 def save_model(path: str | Path, pca: PCAModel, gmm: GMMModel) -> None:
-    """Write the KMDL codebook file (little-endian, f64 payload); a header or
-    value that load_model would refuse is refused before the file is created."""
+    """Write the KMDL codebook file (little-endian, f64 payload); a header,
+    part shape or value that load_model would refuse is refused before the
+    file is created."""
     path = Path(path)
-    if pca.out_dim != gmm.dim:
-        raise ValueError(f"PCA output dim {pca.out_dim} != GMM dim {gmm.dim}")
     header = _KMDL_HEADER.pack(
         KMDL_MAGIC, KMDL_VERSION, pca.input_dim, pca.out_dim, gmm.components,
         1 if pca.whitened else 0,
     )
-    _checked_header(path, header)
+    input_dim, out_dim, comp, _ = _checked_header(path, header)
     parts = (pca.mean, pca.basis, gmm.weights, gmm.means, gmm.variances)
+    shapes = _part_shapes(input_dim, out_dim, comp)
+    for name, part, shape in zip(_PART_NAMES, parts, shapes):
+        if np.shape(part) != shape:
+            raise ValueError(f"{name} array has shape {np.shape(part)}, the header implies {shape}")
     payload = np.concatenate([np.ravel(part) for part in parts], dtype="<f8")
-    _check_payload(path, payload, tuple(np.size(part) for part in parts))
+    _check_payload(path, payload, tuple(map(math.prod, shapes)))
     path.write_bytes(header + payload.tobytes())
 
 
@@ -386,14 +397,16 @@ def load_model(path: str | Path) -> tuple[PCAModel, GMMModel]:
     path = Path(path)
     data = path.read_bytes()
     input_dim, out_dim, comp, whit = _checked_header(path, data)
-    sizes = (input_dim, out_dim * input_dim, comp, comp * out_dim, comp * out_dim)
-    check_length(path, data, _KMDL_HEADER.size + 8 * sum(sizes))
+    shapes = _part_shapes(input_dim, out_dim, comp)
+    sizes = tuple(map(math.prod, shapes))
+    check_length(path, len(data), _KMDL_HEADER.size + 8 * sum(sizes))
     payload = np.frombuffer(data, dtype="<f8", offset=_KMDL_HEADER.size).astype(np.float64)
     _check_payload(path, payload, sizes)
-    mean, basis, weights, means, variances = np.split(payload, np.cumsum(sizes)[:-1])
-    pca = PCAModel(mean, basis.reshape(out_dim, input_dim), whitened=bool(whit))
-    gmm = GMMModel(weights, means.reshape(comp, out_dim), variances.reshape(comp, out_dim))
-    return pca, gmm
+    mean, basis, weights, means, variances = (
+        part.reshape(shape) for part, shape in zip(np.split(payload, np.cumsum(sizes)[:-1]), shapes)
+    )
+    return PCAModel(mean, basis, whitened=bool(whit)), GMMModel(weights, means, variances)
+
 
 
 def _checked_header(path: Path, data: bytes) -> list[int]:
@@ -423,7 +436,7 @@ def _check_payload(path: Path, payload: np.ndarray, sizes: tuple[int, ...]) -> N
 
     def describe(i: int) -> tuple[str, int]:
         part = int(np.searchsorted(ends, i, side="right"))
-        name = ("PCA mean", "PCA basis", "GMM weight", "GMM mean", "GMM variance")[part]
+        name = _PART_NAMES[part]
         at = f"{name}[{i - ends[part] + sizes[part]}] = {payload[i]}"
         return f"{at} is not in [{floor[i]:.0e}, 1e+30]", _KMDL_HEADER.size + 8 * i
 

@@ -69,11 +69,11 @@ def check_header(
     return fields
 
 
-def check_length(path: Path, data: bytes, expected: int) -> None:
-    """Refuse a container that is not exactly `expected` bytes long."""
-    if len(data) != expected:
-        problem = "truncated" if len(data) < expected else "trailing bytes"
-        at = min(len(data), expected)
+def check_length(path: Path, size: int, expected: int) -> None:
+    """Refuse a container whose `size` in bytes is not exactly `expected`."""
+    if size != expected:
+        problem = "truncated" if size < expected else "trailing bytes"
+        at = min(size, expected)
         raise FormatError(f"{path}: expected {expected} bytes, {problem} at byte offset {at}")
 
 

@@ -7,13 +7,15 @@ as f32, as KIDX stores them, and scored in float64 a block of rows at a time.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import FormatError, check_length, read_container, refuse_first
+from .errors import FormatError, check_header, check_length, refuse_first
 
 KIDX_MAGIC = b"KIDX"
 KIDX_VERSION = 1
@@ -55,15 +57,6 @@ class Index:
         return self._matrix[self._row_of[image_id]].astype(np.float64)
 
 
-def _assemble(rows: dict[str, np.ndarray], dim: int) -> Index:
-    """Copy float32 rows into one matrix, in ascending id order."""
-    ids = sorted(rows)
-    matrix = np.empty((len(ids), dim if ids else 0), dtype=np.float32)
-    for row, image_id in enumerate(ids):
-        matrix[row] = rows[image_id]
-    return Index(ids, matrix)
-
-
 def build(entries: list[IndexEntry]) -> Index:
     """Build an index; duplicate ids, dim mismatches and empty or non-finite
     vectors (once rounded to f32) name the offender."""
@@ -85,7 +78,11 @@ def build(entries: list[IndexEntry]) -> Index:
                 f"entry {entry.image_id!r}: dim {values.shape[0]} != index dim {dim}"
             )
         rows[entry.image_id] = values
-    return _assemble(rows, dim or 0)
+    ids = sorted(rows)
+    matrix = np.empty((len(ids), dim or 0), dtype=np.float32)
+    for row, image_id in enumerate(ids):
+        matrix[row] = rows[image_id]
+    return Index(ids, matrix)
 
 
 def search(index: Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
@@ -97,6 +94,8 @@ def search(index: Index, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     query = np.asarray(query, dtype=np.float64).ravel()
     if query.shape[0] != index.dim:
         raise ValueError(f"query dim {query.shape[0]} != index dim {index.dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query vector must be finite")
     scores = _scores(index._matrix, query)
     # Rows are in ascending id order, so a stable sort breaks ties by id.
     order = np.argsort(-scores, kind="stable")[:k]
@@ -135,39 +134,58 @@ def save(path: str | Path, index: Index) -> None:
 
 
 def load(path: str | Path) -> Index:
-    """Read a KIDX file; corrupt input raises a parse error naming the offset."""
+    """Read a KIDX file; corrupt input raises a parse error naming the offset.
+
+    A first pass reads only the ids, seeking past each row. Once it has shown
+    that the file holds count x dim values, the matrix is allocated and each
+    row is read straight into it, so the file is never held whole.
+    """
     path = Path(path)
-    data, (dim, count) = read_container(
-        path, _KIDX_HEADER, KIDX_MAGIC, KIDX_VERSION, ("dimension",), may_be_empty=True
-    )
-    offset = _KIDX_HEADER.size
-    rows: dict[str, np.ndarray] = {}
-    value_offset: dict[str, int] = {}
-    for _ in range(count):
-        start = offset
-        if offset + 4 > len(data):
-            raise FormatError(f"{path}: truncated id length at byte offset {offset}")
-        (id_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + id_len + 4 * dim > len(data):
-            raise FormatError(f"{path}: truncated entry at byte offset {offset}")
-        try:
-            image_id = data[offset : offset + id_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"{path}: image id is not UTF-8 at byte offset {offset}") from None
-        if image_id in rows:
-            raise FormatError(f"{path}: duplicate image id {image_id!r} at byte offset {start}")
-        offset += id_len
-        rows[image_id] = np.frombuffer(data, dtype="<f4", count=dim, offset=offset)
-        value_offset[image_id] = offset
-        offset += 4 * dim
-    check_length(path, data, offset)
-    index = _assemble(rows, dim)
+    with open(path, "rb") as f:
+        dim, count = check_header(
+            path, f.read(_KIDX_HEADER.size), _KIDX_HEADER, KIDX_MAGIC, KIDX_VERSION,
+            ("dimension",), may_be_empty=True,
+        )
+        size = os.fstat(f.fileno()).st_size
+        offset = _KIDX_HEADER.size
+        value_offset: dict[str, int] = {}
+        for _ in range(count):
+            start = offset
+            if offset + 4 > size:
+                raise FormatError(f"{path}: truncated id length at byte offset {offset}")
+            (id_len,) = struct.unpack("<I", _read(f, bytearray(4), path, offset))
+            offset += 4
+            if offset + id_len + 4 * dim > size:
+                raise FormatError(f"{path}: truncated entry at byte offset {offset}")
+            try:
+                image_id = _read(f, bytearray(id_len), path, offset).decode("utf-8")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}: image id is not UTF-8 at byte offset {offset}") from None
+            if image_id in value_offset:
+                raise FormatError(f"{path}: duplicate image id {image_id!r} at byte offset {start}")
+            offset += id_len
+            value_offset[image_id] = offset
+            offset += 4 * dim
+        check_length(path, size, offset)
+        ids = sorted(value_offset)
+        matrix = np.empty((count, dim), "<f4")
+        row_bytes = matrix.view(np.uint8)
+        for row, image_id in enumerate(ids):
+            _read(f, row_bytes[row], path, value_offset[image_id])
     # min and max propagate NaN and expose an infinity without a temporary
     # the size of the matrix; only a file that fails them is searched.
-    matrix = index._matrix
     if matrix.size and not (np.isfinite(matrix.min()) and np.isfinite(matrix.max())):
         refuse_first(path, ~np.isfinite(matrix), lambda i: (
-            "non-finite value", value_offset[index._ids[i // dim]] + 4 * (i % dim)
+            "non-finite value", value_offset[ids[i // dim]] + 4 * (i % dim)
         ))
-    return index
+    return Index(ids, matrix)
+
+
+def _read(f: BinaryIO, buf: bytearray | np.ndarray, path: Path, offset: int):
+    """Fill `buf` from `f` at `offset` and return it; a file that ends sooner,
+    having shrunk since its size was taken, is refused where it ends."""
+    f.seek(offset)
+    got = f.readinto(buf)
+    if got < len(buf):
+        raise FormatError(f"{path}: truncated at byte offset {offset + got}")
+    return buf

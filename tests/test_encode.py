@@ -808,3 +808,23 @@ class TestModelFile:
         with pytest.raises(FormatError) as loaded:
             load_model(path)
         assert str(loaded.value) == str(saved.value)
+
+    @pytest.mark.parametrize(
+        "pca, gmm, message",
+        [
+            (PCAModel(mean=np.zeros(2), basis=np.ones((1, 4))),
+             GMMModel(weights=np.ones(1), means=np.zeros((1, 1)), variances=np.ones((1, 1))),
+             r"^PCA basis array has shape \(1, 4\), the header implies \(1, 2\)$"),
+            (PCAModel(mean=np.zeros(2), basis=np.ones((1, 2))),
+             GMMModel(weights=np.full(2, 0.5), means=np.zeros((1, 1)), variances=np.ones((1, 1))),
+             r"^GMM mean array has shape \(1, 1\), the header implies \(2, 1\)$"),
+        ],
+        ids=["basis-wider-than-mean", "more-weights-than-means"],
+    )
+    def test_save_refuses_parts_whose_shapes_disagree_with_the_header(
+        self, tmp_path, pca, gmm, message
+    ):
+        path = tmp_path / "bad.kmdl"
+        with pytest.raises(ValueError, match=message):
+            save_model(path, pca, gmm)
+        assert not path.exists()

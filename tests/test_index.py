@@ -1,5 +1,6 @@
 """Linear-scan index build/search/persistence tests."""
 
+import os
 import struct
 import tracemalloc
 import warnings
@@ -144,6 +145,12 @@ class TestSearch:
         idx = build(make_entries(rng, count=4))
         with pytest.raises(ValueError, match="k"):
             search(idx, np.zeros(6), 0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_refused(self, value):
+        idx = build([IndexEntry("a", np.array([1.0, 0.0])), IndexEntry("b", np.array([0.0, 1.0]))])
+        with pytest.raises(ValueError, match="query vector must be finite"):
+            search(idx, np.array([value, 0.0]), 2)
 
     def test_scores_are_f32_rounded_rows_bit_exact(self, tmp_path):
         rng = np.random.default_rng(83)
@@ -323,3 +330,60 @@ class TestPersistence:
             save(tmp_path / "again.kidx", idx)
             assert (tmp_path / "again.kidx").read_bytes() == mutated, at
         assert loaded > 0
+
+    def test_load_peak_is_the_matrix(self, tmp_path):
+        # Rows are read straight into the matrix; holding the file whole as
+        # well would double the peak.
+        rng = np.random.default_rng(87)
+        count, dim = 500, 1024
+        save(tmp_path / "big.kidx", build(make_entries(rng, count=count, dim=dim)))
+        tracemalloc.start()
+        try:
+            load(tmp_path / "big.kidx")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * count * dim * 4
+
+    def test_out_of_id_order_file_loads_like_canonical(self, tmp_path):
+        rng = np.random.default_rng(88)
+        entries = make_entries(rng, count=9, dim=5)
+        canonical = tmp_path / "canonical.kidx"
+        save(canonical, build(entries))
+        shuffled = tmp_path / "shuffled.kidx"
+        shuffled.write_bytes(struct.pack("<4sIII", b"KIDX", 1, 5, 9) + b"".join(
+            struct.pack("<I", 6) + e.image_id.encode() + np.asarray(e.values, dtype="<f4").tobytes()
+            for e in (entries[i] for i in rng.permutation(9))
+        ))
+        a, b = load(canonical), load(shuffled)
+        assert a.ids == b.ids
+        for image_id in a.ids:
+            assert a.vector(image_id).tobytes() == b.vector(image_id).tobytes()
+        query = unit_rows(rng, 1, 5)[0]
+        assert search(a, query, 9) == search(b, query, 9)
+        save(tmp_path / "again.kidx", b)
+        assert (tmp_path / "again.kidx").read_bytes() == canonical.read_bytes()
+
+    def test_file_shorter_than_its_size_refused(self, tmp_path, monkeypatch):
+        # A file that shrinks while it is read: the header promises one more
+        # entry than the file holds, and load believes the promised size.
+        rng = np.random.default_rng(89)
+        path = tmp_path / "short.kidx"
+        save(path, build(make_entries(rng, count=3, dim=4)))
+        data = bytearray(path.read_bytes())
+        data[12:16] = struct.pack("<I", 4)
+        path.write_bytes(bytes(data))
+        promised = len(data) + 4 + 6 + 4 * 4
+        real_fstat = os.fstat
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return os.stat_result((*st[:6], promised, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        with pytest.raises(FormatError, match=f"truncated at byte offset {len(data)}$"):
+            load(path)
+        # A row that runs short is refused too, where the file ends.
+        path.write_bytes(bytes(data) + struct.pack("<I", 6) + b"img999" + bytes(7))
+        with pytest.raises(FormatError, match=f"truncated at byte offset {len(data) + 17}$"):
+            load(path)
