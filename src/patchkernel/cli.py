@@ -233,12 +233,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args)
+        with stage(args.command):
+            args.func(args)
     except StageError as exc:
         print(f"{exc.stage}: {exc.message}".replace("\n", " "), file=sys.stderr)
-        return 1
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"{args.command}: {exc}".replace("\n", " "), file=sys.stderr)
         return 1
     return 0
 

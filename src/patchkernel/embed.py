@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import check_length, read_container, refuse_first
+from .errors import check_header, check_length, refuse_first
 from .raster import Image, resize_bilinear
 
 PATCH_SIDE = 32
@@ -254,8 +254,10 @@ def load_descriptors(path: str | Path) -> DescriptorSet:
     Malformed input raises a parse error naming the failing byte offset.
     """
     path = Path(path)
-    data, (dim, count) = read_container(
-        path, _KDESC_HEADER, KDESC_MAGIC, KDESC_VERSION, ("descriptor dimension", "record count")
+    data = path.read_bytes()
+    dim, count = check_header(
+        path, data, _KDESC_HEADER, KDESC_MAGIC, KDESC_VERSION,
+        ("descriptor dimension", "record count"),
     )
     # Sized in Python ints first: a huge dim in a short file must not reach
     # the record dtype, whose shape has to fit a C int.

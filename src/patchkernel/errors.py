@@ -40,15 +40,6 @@ def read_utf8(path: str | Path) -> str:
         raise FormatError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
 
 
-def read_container(
-    path: Path, header: Struct, magic: bytes, version: int, nonzero: tuple[str, ...],
-    may_be_empty: bool = False,
-) -> tuple[bytes, list[int]]:
-    """A container's bytes and its header fields, which check_header refuses."""
-    data = path.read_bytes()
-    return data, check_header(path, data, header, magic, version, nonzero, may_be_empty)
-
-
 def check_header(
     path: Path, data: bytes, header: Struct, magic: bytes, version: int,
     nonzero: tuple[str, ...], may_be_empty: bool = False,

@@ -124,7 +124,7 @@ _KIDX_HEADER = struct.Struct("<4sIII")
 
 def save(path: str | Path, index: Index) -> None:
     """Write the KIDX file; canonical entry order makes output byte-stable."""
-    chunks = [_KIDX_HEADER.pack(KIDX_MAGIC, KIDX_VERSION, index.dim or 0, len(index))]
+    chunks = [_KIDX_HEADER.pack(KIDX_MAGIC, KIDX_VERSION, index._matrix.shape[1], len(index))]
     for row, image_id in enumerate(index._ids):
         encoded = image_id.encode("utf-8")
         chunks.append(struct.pack("<I", len(encoded)))

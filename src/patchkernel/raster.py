@@ -8,6 +8,7 @@ sensitivity harness and the synthetic corpus builder.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +23,10 @@ _MIN_RASTER_SIDE = 4
 
 SCALE_MIN = 0.25
 SCALE_MAX = 4.0
+
+# One PGM header field: the whitespace and "#" comments (each to the end of
+# its line) before it, then the field itself, empty at the end of the data.
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 @dataclass(frozen=True)
@@ -170,21 +175,13 @@ def read_pgm(path: str | Path) -> Image:
     pos = 2
     fields: list[int] = []
     offsets: list[int] = []
-    while len(fields) < 3:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        token = data[start:pos]
-        if not token.isdigit():
-            raise FormatError(f"{path}: bad header token at byte offset {start}")
-        fields.append(int(token))
-        offsets.append(start)
+    for _ in range(3):
+        token = _PGM_TOKEN.match(data, pos)
+        if not token[1].isdigit():
+            raise FormatError(f"{path}: bad header token at byte offset {token.start(1)}")
+        fields.append(int(token[1]))
+        offsets.append(token.start(1))
+        pos = token.end()
     width, height, maxval = fields
     if maxval != 255:
         raise FormatError(

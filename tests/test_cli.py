@@ -287,10 +287,12 @@ def test_command_failure_is_one_line_named_by_command(argv, message, tmp_path, c
 
 
 def test_stage_prefix_from_pipeline(tmp_path, capsys):
-    code = main(["pipeline", "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("corpus: ")
+    # The inner stage's tag wins over the command name that tags the rest.
+    for command in ("pipeline", "train"):
+        code = main([command, "--corpus", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"corpus: no .pgm images found in {tmp_path}\n", command
 
 
 def test_train_reproduces_pipeline_model(corpus, artifacts, tmp_path):

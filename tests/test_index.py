@@ -210,6 +210,15 @@ class TestPersistence:
         save(tmp_path / "b.kidx", load(tmp_path / "a.kidx"))
         assert (tmp_path / "a.kidx").read_bytes() == (tmp_path / "b.kidx").read_bytes()
 
+    def test_empty_index_saves_back_its_dimension(self, tmp_path):
+        path = tmp_path / "empty.kidx"
+        data = struct.pack("<4sIII", b"KIDX", 1, 5, 0)
+        path.write_bytes(data)
+        idx = load(path)
+        assert len(idx) == 0 and idx.dim is None
+        save(tmp_path / "again.kidx", idx)
+        assert (tmp_path / "again.kidx").read_bytes() == data
+
     def test_save_writes_f32_rounded_rows(self, tmp_path):
         rng = np.random.default_rng(86)
         entries = make_entries(rng, count=7)

@@ -226,6 +226,27 @@ class TestPgm:
         path.write_bytes(b"P5\n# comment\n8 8\n255\n" + bytes(64))
         assert read_pgm(path).pixels.shape == (8, 8)
 
+    def test_comment_before_every_field_and_every_separator(self, tmp_path):
+        pixels = bytes(range(72))
+        plain = tmp_path / "plain.pgm"
+        plain.write_bytes(b"P5\n9 8\n255\n" + pixels)
+        commented = tmp_path / "commented.pgm"
+        commented.write_bytes(b"P5\t#w\n9\r#h\n\x0b8\x0c#m\n\x0c255\r" + pixels)
+        assert np.array_equal(read_pgm(commented).pixels, read_pgm(plain).pixels)
+
+    def test_comment_to_end_of_file_refused_at_its_end(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        data = b"P5\n8 8\n# no maxval"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"bad header token at byte offset {len(data)}$"):
+            read_pgm(path)
+
+    def test_hash_inside_a_field_refused_at_its_first_byte(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n8#c 8\n255\n" + bytes(64))
+        with pytest.raises(FormatError, match="bad header token at byte offset 3$"):
+            read_pgm(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n8 8\n255\n" + bytes(64))
