@@ -102,9 +102,12 @@ def pca_train(data: np.ndarray, out_dim: int, whiten: bool = False) -> PCAModel:
 
     Each row's largest-magnitude entry is made positive so the sign is
     reproducible. Raises a training error when there are fewer than
-    out_dim + 1 samples or the data rank falls below out_dim.
+    out_dim + 1 samples or the data rank falls below out_dim. f32 data is
+    read as it is; any other dtype is widened to f64 first.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
+    if data.dtype != np.float32:
+        data = data.astype(np.float64, copy=False)
     if data.ndim != 2:
         raise ValueError(f"expected (n, dim) data, got shape {data.shape}")
     n, dim = data.shape
@@ -112,7 +115,9 @@ def pca_train(data: np.ndarray, out_dim: int, whiten: bool = False) -> PCAModel:
         raise ValueError(f"output dim {out_dim} outside 1..{dim}")
     if n < out_dim + 1:
         raise TrainingError(f"PCA needs at least {out_dim + 1} samples, got {n}")
-    mean = data.mean(axis=0)
+    # f32 rows widen exactly inside the f64 sum and the subtraction, so these
+    # are the bits of a widened copy, without holding one.
+    mean = data.mean(axis=0, dtype=np.float64)
     centered = data - mean
     cov = centered.T @ centered / n
     eigvals, eigvecs = np.linalg.eigh(cov)
@@ -206,12 +211,24 @@ def _e_step(model: GMMModel, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         return np.divide(joint, total, out=joint), peak + np.log(total)
 
 
-def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
+def em_sample(n: int, rng: np.random.Generator) -> np.ndarray | slice:
+    """The rows of n that EM fits, in order: every row up to EM_MAX_SAMPLES
+    (16,384), else a sorted random subset of that size drawn from rng."""
+    if n <= EM_MAX_SAMPLES:
+        return slice(None)
+    return np.sort(rng.choice(n, EM_MAX_SAMPLES, replace=False))
+
+
+def gmm_train(data: np.ndarray, components: int, seed: int | np.random.Generator) -> GMMModel:
     """Fit a diagonal GMM by EM from a k-means++ seeding.
 
-    With more than EM_MAX_SAMPLES (16,384) rows, EM runs on a sorted random
-    subset of that size, drawn from the seed's generator before the
-    k-means++ seeding; smaller inputs are used whole. Fewer than 10 fitted
+    `seed` is an int or a Generator; np.random.default_rng returns a
+    Generator unchanged. EM fits the rows that em_sample draws from it
+    before the k-means++ seeding: every row up to EM_MAX_SAMPLES (16,384),
+    else a sorted random subset of that size. `train_codebook` draws that
+    sample before projecting anything and passes only the fitted rows with
+    the generator that drew them, so k-means++ draws the centres it would
+    draw from every row and the seed. Fewer than 10 fitted
     rows per component is a training error, raised before any EM work.
     Stops at the first iteration whose average log-likelihood gains less
     than EM_REL_TOL (1e-4) of the previous one; EM_MAX_ITER (100) iterations
@@ -222,7 +239,8 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
 
     Each iteration is two matrix products over the fixed (n, 2D) statistics
     [x, x^2]: one against [mu/var, -1/(2 var)] for the E-step and one of the
-    responsibilities against the statistics for both M-step moments.
+    responsibilities against the statistics for both M-step moments. Once
+    they are filled and k-means++ has seeded, the rows themselves are let go.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -237,15 +255,18 @@ def gmm_train(data: np.ndarray, components: int, seed: int) -> GMMModel:
             f"got {fitted} (EM fits at most {EM_MAX_SAMPLES})"
         )
     rng = np.random.default_rng(seed)
-    if n > EM_MAX_SAMPLES:
-        data = data[np.sort(rng.choice(n, EM_MAX_SAMPLES, replace=False))]
-        n = EM_MAX_SAMPLES
-    floor = VARIANCE_FLOOR_FACTOR * float(np.mean(np.var(data, axis=0)))
+    data = data[em_sample(n, rng)]
+    n = fitted
+    var = np.var(data, axis=0)
+    floor = VARIANCE_FLOOR_FACTOR * float(np.mean(var))
 
     weights = np.full(components, 1.0 / components)
     means = _kmeanspp_centers(data, components, rng)
-    variances = np.maximum(np.tile(np.var(data, axis=0), (components, 1)), floor)
-    stats = np.hstack([data, data**2])
+    variances = np.maximum(np.tile(var, (components, 1)), floor)
+    stats = np.empty((n, 2 * dim))
+    stats[:, :dim] = data
+    np.square(data, out=stats[:, dim:])
+    del data
 
     history: list[float] = []
     prev_ll = -np.inf

@@ -246,22 +246,48 @@ def describe_corpus(corpus: list[tuple[str, Image]], cfg: PipelineConfig) -> lis
 
     Rounding moves a unit row's norm by about 6e-8, inside the 1e-6 within which
     `load_descriptors` keeps a row verbatim, so these are the values it would read back.
+    Each worker rounds its own image's rows, so the f64 rows of the corpus are
+    never held at once, and none outlives the thread that made it.
     """
+
+    def describe(item: tuple[str, Image]) -> DescriptorSet:
+        dset = describe_image(*item, cfg)
+        return DescriptorSet(dset.image_id, dset.meta, dset.values.astype(np.float32))
+
     with ThreadPoolExecutor(max_workers=resolve_threads(cfg.threads)) as pool:
-        sets = list(pool.map(lambda item: describe_image(item[0], item[1], cfg), corpus))
-    return [DescriptorSet(d.image_id, d.meta, d.values.astype(np.float32)) for d in sets]
+        return list(pool.map(describe, corpus))
 
 
 def train_codebook(
     sets: list[DescriptorSet], cfg: PipelineConfig
 ) -> tuple[encode.PCAModel, encode.GMMModel]:
-    """Fit PCA on every descriptor, then the GMM on their projections."""
-    # The stacked matrix is dead once PCA is fitted, so EM does not hold it.
+    """Fit PCA on every descriptor, then the GMM on the projections of EM's sample.
+
+    The sample is drawn from the seed's generator before anything is
+    projected, and each set is projected whole, as `encode_sets` projects
+    it, keeping only its sampled rows: the codebook's bits are those of
+    fitting `gmm_train` on the projection of every row, which is never held.
+    """
     pca = encode.pca_train(
         np.vstack([dset.values for dset in sets]), cfg.pca_dim, whiten=cfg.whiten
     )
-    reduced = np.vstack([encode.pca_project(pca, dset.values) for dset in sets])
-    return pca, encode.gmm_train(reduced, cfg.gmm_components, cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
+    # No name here holds the sampled rows, so EM can let them go once seeded.
+    return pca, encode.gmm_train(_sampled_projection(pca, sets, rng), cfg.gmm_components, rng)
+
+
+def _sampled_projection(
+    pca: encode.PCAModel, sets: list[DescriptorSet], rng: np.random.Generator
+) -> np.ndarray:
+    """The projections of the rows that `encode.em_sample` draws from rng out
+    of every set's rows stacked in order; each set is projected whole."""
+    ends = np.cumsum([len(dset.values) for dset in sets])
+    keep = np.zeros(ends[-1], dtype=bool)
+    keep[encode.em_sample(int(ends[-1]), rng)] = True
+    return np.vstack([
+        encode.pca_project(pca, dset.values)[keep[end - len(dset.values) : end]]
+        for dset, end in zip(sets, ends)
+    ])
 
 
 def encode_sets(
@@ -299,6 +325,7 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
         corpus = load_corpus(corpus_dir)
     with stage("embed"):
         sets = describe_corpus(corpus, cfg)
+        del corpus  # the decoded images are dead once described
         desc_dir.mkdir(parents=True, exist_ok=True)
         for dset in sets:
             save_descriptors(desc_dir / f"{dset.image_id}.kdesc", dset)
@@ -314,7 +341,7 @@ def run_pipeline(corpus_dir: str | Path, out_dir: str | Path, cfg: PipelineConfi
         index_path=index_path,
         model_path=model_path,
         descriptor_dir=desc_dir,
-        image_count=len(corpus),
+        image_count=len(sets),
         descriptor_count=sum(dset.values.shape[0] for dset in sets),
     )
 

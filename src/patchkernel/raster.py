@@ -27,6 +27,10 @@ SCALE_MAX = 4.0
 # One PGM header field: the whitespace and "#" comments (each to the end of
 # its line) before it, then the field itself, empty at the end of the data.
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
+# No valid width, height or maxval needs more digits, leading zeros aside: the
+# pixel data alone would need more bytes than any file holds. A longer field is refused before
+# int() reads it, which refuses strings above 4,300 digits with a ValueError.
+_PGM_FIELD_DIGITS = 20
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,11 @@ def read_pgm(path: str | Path) -> Image:
         token = _PGM_TOKEN.match(data, pos)
         if not token[1].isdigit():
             raise FormatError(f"{path}: bad header token at byte offset {token.start(1)}")
+        if len(token[1]) > _PGM_FIELD_DIGITS:
+            raise FormatError(
+                f"{path}: header field longer than {_PGM_FIELD_DIGITS} digits "
+                f"at byte offset {token.start(1)}"
+            )
         fields.append(int(token[1]))
         offsets.append(token.start(1))
         pos = token.end()

@@ -247,6 +247,20 @@ class TestGmmTrain:
         _, model = train_codebook(seed1_sets, PipelineConfig())
         assert len(model.log_likelihoods) < EM_MAX_ITER
 
+    def test_sampled_projection_gives_the_whole_projection_codebook(self, seed1_sets):
+        # train_codebook projects only EM's sample; the bits are those of
+        # widening every row, projecting all of them and sampling inside EM.
+        cfg = PipelineConfig()
+        pca, gmm = train_codebook(seed1_sets, cfg)
+        wide = np.vstack([d.values.astype(np.float64) for d in seed1_sets])
+        assert len(wide) > EM_MAX_SAMPLES
+        ref_pca = pca_train(wide, cfg.pca_dim, whiten=cfg.whiten)
+        assert np.array_equal(pca.mean, ref_pca.mean) and np.array_equal(pca.basis, ref_pca.basis)
+        reduced = np.vstack([pca_project(pca, d.values) for d in seed1_sets])
+        ref = gmm_train(reduced, cfg.gmm_components, cfg.seed)
+        for part in ("weights", "means", "variances"):
+            assert np.array_equal(getattr(gmm, part), getattr(ref, part)), part
+
     def test_empty_component_keeps_its_initialisation(self, monkeypatch):
         # the last centre is 1,000 standard deviations from every row, so the
         # E-step gives it a responsibility of exactly 0 in every iteration

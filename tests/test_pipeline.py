@@ -249,6 +249,26 @@ class TestDescribeCorpus:
             assert isinstance(back.meta, np.recarray) and back.meta.dtype == META_DTYPE
             assert np.array_equal(back.meta, dset.meta), dset.image_id
 
+    def test_peak_beyond_the_sets_does_not_grow_with_the_corpus(self, tmp_path):
+        # Each worker rounds its image's rows to f32, so beyond its f32 sets
+        # a 30-image corpus holds no more than a 10-image one, give or take
+        # three images' f64 rows. Rounding after the pool holds every f64 row
+        # at once, and the 30-image figure then exceeds the other by 2.4 MB.
+        generate_corpus(tmp_path, n_base=6, seed=42)
+        corpus = load_corpus(tmp_path)
+        cfg = PipelineConfig(threads=2)
+        beyond = []
+        for count in (10, 30):
+            tracemalloc.start()
+            try:
+                sets = describe_corpus(corpus[:count], cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            beyond.append(peak - sum(dset.values.nbytes for dset in sets))
+        f64_rows = max(2 * dset.values.nbytes for dset in sets)
+        assert beyond[1] < beyond[0] + 3 * f64_rows
+
 
 class TestDescriptorPathsAgree:
     def test_one_codebook_gives_identical_per_query_ap(self, tmp_path):
@@ -292,6 +312,44 @@ class TestTrainCodebook:
         finally:
             tracemalloc.stop()
         assert len(held) == 1 and held[0] < 2**20
+
+    def test_training_holds_the_projection_of_em_sample_only(self, monkeypatch):
+        # 40,000 rows, more than EM fits. Beyond the f32 stack and its centred
+        # f64 copy, PCA holds nothing large; from the first projection on,
+        # the peak is that of 16,384 projected rows and their [x, x^2]
+        # statistics, not of a projection of every row (5.1 MB).
+        rng = np.random.default_rng(116)
+        meta = np.rec.array([(0, 0, 0, 16, 16, 0, 0.0)] * 1000, dtype=META_DTYPE)
+        sets = [
+            DescriptorSet(f"im{i}", meta, rng.standard_normal((1000, 128)).astype(np.float32))
+            for i in range(40)
+        ]
+        rows = 40 * 1000
+        assert rows > encode.EM_MAX_SAMPLES
+        pca_dim = 16
+        sample = 3 * encode.EM_MAX_SAMPLES * pca_dim * 8
+        project = encode.pca_project
+        pca_peak = []
+
+        def peak_then_project(model, vectors):
+            if not pca_peak:
+                pca_peak.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+            return project(model, vectors)
+
+        monkeypatch.setattr(encode, "pca_project", peak_then_project)
+        tracemalloc.start()
+        try:
+            train_codebook(sets, PipelineConfig(pca_dim=pca_dim, gmm_components=4))
+            em_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The 3 MiB of slack covers EM's responsibilities (16,384 x 4 f64,
+        # twice while an E-step replaces them), the per-row scalars, and the
+        # sampled rows on an interpreter whose calling frame keeps an
+        # argument alive until the call returns (8.1 MB in all then).
+        assert pca_peak[0] - rows * 128 * (4 + 8) < sample + 3 * 2**20
+        assert em_peak < sample + 3 * 2**20
 
 
 class TestEvaluateIndex:

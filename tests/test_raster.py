@@ -247,6 +247,21 @@ class TestPgm:
         with pytest.raises(FormatError, match="bad header token at byte offset 3$"):
             read_pgm(path)
 
+    @pytest.mark.parametrize(
+        "header, offset",
+        [(b"P5\n" + b"9" * 5000 + b" 8\n255\n", 3), (b"P5\n8 " + b"0" * 21 + b"8\n255\n", 5),
+         (b"P5\n8 8\n" + b"2" * 21 + b"\n", 7)],
+        ids=["width-5000-digits", "height-22-digits", "maxval-21-digits"],
+    )
+    def test_overlong_header_field_refused_at_its_offset(self, header, offset, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(header + bytes(64))
+        with pytest.raises(FormatError, match=f"longer than 20 digits at byte offset {offset}$"):
+            read_pgm(path)
+        # Twenty digits, leading zeros included, still read as a number.
+        path.write_bytes(b"P5\n" + b"0" * 19 + b"8 8\n255\n" + bytes(64))
+        assert read_pgm(path).width == 8
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pgm"
         path.write_bytes(b"P2\n8 8\n255\n" + bytes(64))
